@@ -20,6 +20,12 @@
 #                 against (rewritten only with --set-baseline);
 #   "current"  -- the numbers of the working tree (rewritten every run).
 #
+# Every snapshot (and the scale suite's record) is stamped with "git",
+# the commit measured ("-dirty" when the work tree has uncommitted
+# edits), and "nproc", the cores the OS grants the run. google-benchmark's
+# own num_cpus can read 1 inside a container on a multi-core host, so it
+# is not recorded.
+#
 # Method: each benchmark runs --reps times and we keep the *best*
 # items_per_second per benchmark. On a contended 1-vCPU box the best of
 # N is the least-interference estimate and is far more stable than the
@@ -58,6 +64,11 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
+HOST_NPROC=$(nproc)
+HOST_COMMIT=$(git rev-parse --short HEAD)
+git diff --quiet HEAD -- || HOST_COMMIT="$HOST_COMMIT-dirty"
+export HOST_NPROC HOST_COMMIT
+
 if [[ "$SUITE" == "scale" ]]; then
   # The scale suite is not a google-benchmark micro bench: it times
   # tools/vlease_scale, a streaming large-population replay. The gate
@@ -90,7 +101,7 @@ if [[ "$SUITE" == "scale" ]]; then
   SECTION="$SECTION" LABEL="$LABEL" GATE_RAW="$GATE_RAW" \
     RECORD_RAW="$RECORD_RAW" RECORD="$RECORD" PATH_JSON="$PATH_JSON" \
     CHECK_PCT="$CHECK_PCT" python3 - <<'PY'
-import json, os, subprocess, sys
+import json, os, sys
 
 # Best-of-reps events_per_second, same estimator as the micro suites.
 # The gate file holds REPS concatenated JSON objects.
@@ -154,8 +165,8 @@ if check_pct:
     print(f"check ok: within {check_pct}% of {path} baseline")
     sys.exit(0)
 
-git_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True).stdout.strip()
+git_rev = os.environ["HOST_COMMIT"]
+nproc = int(os.environ["HOST_NPROC"])
 doc.setdefault("bench", "tools/vlease_scale (streaming replay)")
 doc.setdefault(
     "method",
@@ -163,6 +174,7 @@ doc.setdefault(
 doc[os.environ["SECTION"]] = {
     "label": os.environ["LABEL"] or git_rev,
     "git": git_rev,
+    "nproc": nproc,
     "gate_config": "--clients 50000 --events 5000000",
     "items_per_second": {k: round(v) for k, v in sorted(best.items())},
     "peak_rss_mb": {k: round(v, 1) for k, v in sorted(rss.items())},
@@ -170,6 +182,7 @@ doc[os.environ["SECTION"]] = {
 if os.environ["RECORD"] == "1":
     doc["record"] = json.load(open(os.environ["RECORD_RAW"]))
     doc["record"]["git"] = git_rev
+    doc["record"]["nproc"] = nproc
 
 with open(path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=False)
@@ -200,7 +213,7 @@ if [[ "$SUITE" == "rt" ]]; then
 
   SECTION="$SECTION" LABEL="$LABEL" GATE_RAW="$GATE_RAW" \
     PATH_JSON="$PATH_JSON" CHECK_PCT="$CHECK_PCT" python3 - <<'PY'
-import json, os, subprocess, sys
+import json, os, sys
 
 runs = [json.loads(line)
         for line in open(os.environ["GATE_RAW"]) if line.strip()]
@@ -238,8 +251,8 @@ if check_pct:
     print(f"check ok: within {check_pct}% of {path} baseline")
     sys.exit(0)
 
-git_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True).stdout.strip()
+git_rev = os.environ["HOST_COMMIT"]
+nproc = int(os.environ["HOST_NPROC"])
 doc.setdefault("bench", "tools/vlease_rt --bench-loopback (real sockets)")
 doc.setdefault(
     "method",
@@ -247,6 +260,7 @@ doc.setdefault(
 doc[os.environ["SECTION"]] = {
     "label": os.environ["LABEL"] or git_rev,
     "git": git_rev,
+    "nproc": nproc,
     "items_per_second": {k: round(v) for k, v in sorted(best.items())},
 }
 
@@ -288,7 +302,7 @@ build/bench/micro_kernel \
 
 SECTION="$SECTION" LABEL="$LABEL" RAW="$RAW" PATH_JSON="$PATH_JSON" \
   CHECK_PCT="$CHECK_PCT" python3 - <<'PY'
-import json, os, subprocess, sys
+import json, os, sys
 
 raw = json.load(open(os.environ["RAW"]))
 best = {}
@@ -301,8 +315,8 @@ for b in raw["benchmarks"]:
         continue
     best[name] = max(best.get(name, 0.0), ips)
 
-git_rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True).stdout.strip()
+git_rev = os.environ["HOST_COMMIT"]
+nproc = int(os.environ["HOST_NPROC"])
 path = os.environ["PATH_JSON"]
 doc = {}
 if os.path.exists(path):
@@ -337,6 +351,8 @@ snapshot = {
     "label": os.environ["LABEL"] or git_rev,
     "date": raw["context"]["date"],
     "git": git_rev,
+    "nproc": nproc,
+    "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
     "load_avg": raw["context"]["load_avg"],
     "items_per_second": {k: round(v) for k, v in sorted(best.items())},
 }
@@ -345,10 +361,7 @@ doc.setdefault("bench", "bench/micro_kernel (google-benchmark)")
 doc.setdefault(
     "method",
     "best items_per_second over N repetitions; see scripts/bench.sh")
-doc["host"] = {
-    "num_cpus": raw["context"]["num_cpus"],
-    "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-}
+doc.pop("host", None)  # num_cpus from google-benchmark; see nproc
 section = os.environ["SECTION"]
 doc[section] = snapshot
 

@@ -91,6 +91,19 @@ std::size_t VolumeServer::validVolumeHolders(VolumeId volId) const {
   return n;
 }
 
+std::size_t VolumeServer::expiredHolderCount(SimTime now) const {
+  std::size_t n = 0;
+  auto count = [&](const util::LifoIndexMap<LeaseRecord>& holders) {
+    holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
+      if (graceExpire(r.expire) <= now) ++n;
+    });
+  };
+  auto* self = const_cast<VolumeServer*>(this);
+  self->forEachOwnedVol([&](const VolState& v) { count(v.holders); });
+  self->forEachOwnedObj([&](const ObjState& st) { count(st.holders); });
+  return n;
+}
+
 void VolumeServer::removeObjHolder(ObjState& st, std::uint32_t ci) {
   LeaseRecord* rec = st.holders.find(ci);
   if (rec == nullptr) return;
@@ -105,6 +118,25 @@ void VolumeServer::removeVolHolder(VolState& st, std::uint32_t ci) {
   stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
                       ctx_.scheduler.now());
   st.holders.erase(ci);
+}
+
+const VolumeServer::LeaseRecord& VolumeServer::renewHolder(
+    util::LifoIndexMap<LeaseRecord>& holders, std::uint32_t ci,
+    SimTime term) {
+  const SimTime now = ctx_.scheduler.now();
+  auto [rec, inserted] = holders.tryEmplace(ci);
+  if (!inserted) {
+    stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
+                        now);
+  }
+  rec->expire = addSat(now, term);
+  rec->lastAccounted = now;
+  // The sweep relies on grant order == expiry order within a table:
+  // every grant is now + the table's one fixed term, and now only moves
+  // forward, so this record cannot expire before the current newest.
+  VL_DCHECK(holders.newest().value->expire <= rec->expire);
+  holders.touch(ci);
+  return *rec;
 }
 
 void VolumeServer::releaseInactive(VolState& st, std::uint32_t ci) {
@@ -263,22 +295,15 @@ void VolumeServer::handleReqVolLease(const net::Message& msg) {
 
 void VolumeServer::grantVolume(NodeId client, VolumeId volId) {
   VolState& v = vol(volId);
-  const SimTime now = ctx_.scheduler.now();
-  auto [rec, inserted] = v.holders.tryEmplace(clientIdx(client));
-  if (!inserted) {
-    stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
-                        now);
-  }
-  rec->expire = addSat(now, config_.volumeTimeout);
-  rec->lastAccounted = now;
-  v.expire = std::max(v.expire, rec->expire);
-  v.sweepFloor = std::min(v.sweepFloor, rec->expire);
-  maxVolExpireGranted_ = std::max(maxVolExpireGranted_, rec->expire);
+  const LeaseRecord& rec =
+      renewHolder(v.holders, clientIdx(client), config_.volumeTimeout);
+  v.expire = std::max(v.expire, rec.expire);
+  maxVolExpireGranted_ = std::max(maxVolExpireGranted_, rec.expire);
   clearSwept(v, clientIdx(client));
   maybeArmSweep();
 
   ctx_.transport.send(net::Message{
-      id(), client, net::VolLeaseGrant{volId, rec->expire, v.epoch}});
+      id(), client, net::VolLeaseGrant{volId, rec.expire, v.epoch}});
 }
 
 // ---------------------------------------------------------------------
@@ -302,21 +327,14 @@ void VolumeServer::grantObject(const net::Message& msg) {
   const SimTime now = ctx_.scheduler.now();
   ObjState& st = objState(req.obj);
 
-  auto [rec, inserted] = st.holders.tryEmplace(ci);
-  if (!inserted) {
-    stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
-                        now);
-  }
-  rec->expire = addSat(now, config_.objectTimeout);
-  rec->lastAccounted = now;
-  st.expire = std::max(st.expire, rec->expire);
-  st.sweepFloor = std::min(st.sweepFloor, rec->expire);
+  const LeaseRecord& rec = renewHolder(st.holders, ci, config_.objectTimeout);
+  st.expire = std::max(st.expire, rec.expire);
   maybeArmSweep();
 
   net::ObjLeaseGrant grant{};
   grant.obj = req.obj;
   grant.version = st.version;
-  grant.expire = rec->expire;
+  grant.expire = rec.expire;
   grant.carriesData = st.version != req.haveVersion;
   grant.dataBytes =
       grant.carriesData ? ctx_.catalog.object(req.obj).sizeBytes : 0;
@@ -349,19 +367,13 @@ void VolumeServer::grantObject(const net::Message& msg) {
     if (!isUnreach(v, ci) && !staleEpoch && !hasPendingFlush &&
         v.pendingWrites == 0) {
       if (mode_ == InvalidationMode::kDelayed) releaseInactive(v, ci);
-      auto [vRec, vInserted] = v.holders.tryEmplace(ci);
-      if (!vInserted) {
-        stats::accrueRecord(ctx_.metrics, id(), vRec->lastAccounted,
-                            vRec->expire, now);
-      }
-      vRec->expire = addSat(now, config_.volumeTimeout);
-      vRec->lastAccounted = now;
-      v.expire = std::max(v.expire, vRec->expire);
-      v.sweepFloor = std::min(v.sweepFloor, vRec->expire);
-      maxVolExpireGranted_ = std::max(maxVolExpireGranted_, vRec->expire);
+      const LeaseRecord& vRec =
+          renewHolder(v.holders, ci, config_.volumeTimeout);
+      v.expire = std::max(v.expire, vRec.expire);
+      maxVolExpireGranted_ = std::max(maxVolExpireGranted_, vRec.expire);
       clearSwept(v, ci);
       grant.grantsVolume = true;
-      grant.volExpire = vRec->expire;
+      grant.volExpire = vRec.expire;
       grant.epoch = v.epoch;
     }
   }
@@ -414,7 +426,6 @@ void VolumeServer::processRenewObjLeases(const net::Message& msg,
       session->awaitingAck || arrivedAt < session->startedAt) {
     return;  // stale, duplicate, or answers an earlier exchange; drop
   }
-  const SimTime now = ctx_.scheduler.now();
 
   net::BatchInvalRenew batch{};
   batch.vol = req.vol;
@@ -424,18 +435,12 @@ void VolumeServer::processRenewObjLeases(const net::Message& msg,
       batch.invalidate.push_back(entry.obj);
       removeObjHolder(st, ci);
     } else {
-      auto [rec, inserted] = st.holders.tryEmplace(ci);
-      if (!inserted) {
-        stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted,
-                            rec->expire, now);
-      }
-      rec->expire = addSat(now, config_.objectTimeout);
-      rec->lastAccounted = now;
-      st.expire = std::max(st.expire, rec->expire);
-      st.sweepFloor = std::min(st.sweepFloor, rec->expire);
+      const LeaseRecord& rec =
+          renewHolder(st.holders, ci, config_.objectTimeout);
+      st.expire = std::max(st.expire, rec.expire);
       maybeArmSweep();
       batch.renew.push_back(
-          net::BatchInvalRenew::Renewal{entry.obj, st.version, rec->expire});
+          net::BatchInvalRenew::Renewal{entry.obj, st.version, rec.expire});
     }
   }
   session->awaitingAck = true;
@@ -913,7 +918,6 @@ proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
   std::fill(v.unreachable.begin(), v.unreachable.end(), 0);
   std::fill(v.sweptExpire.begin(), v.sweptExpire.end(), kNever);
   v.expire = kSimTimeMin;
-  v.sweepFloor = kNever;
 
   // In-flight reconnection / flush exchanges on this volume die with the
   // handoff; the client's retry re-routes and reconnects at the adopter.
@@ -935,7 +939,6 @@ proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
     });
     st.holders.clear();
     st.expire = kSimTimeMin;
-    st.sweepFloor = kNever;
     handoff.objects.push_back(
         proto::VolumeHandoff::ObjectEntry{info.id, st.version});
     *objOwned = 0;  // slot stays: durable memory for a possible return
@@ -1030,7 +1033,6 @@ void VolumeServer::crashAndReboot() {
     v.deferred.head = 0;
     v.pendingWrites = 0;
     v.expire = kSimTimeMin;
-    v.sweepFloor = kNever;
     std::fill(v.sweptExpire.begin(), v.sweptExpire.end(), kNever);
     if (v.touched) v.epoch += 1;  // persisted with the data
   });
@@ -1040,7 +1042,6 @@ void VolumeServer::crashAndReboot() {
     });
     st.holders.clear();
     st.expire = kSimTimeMin;
-    st.sweepFloor = kNever;
     st.pendingWrite = util::kNilIdx;
   });
 
@@ -1082,63 +1083,44 @@ void VolumeServer::restoreAfterRestart(
 // ---------------------------------------------------------------------
 
 void VolumeServer::sweepExpiredLeases() {
-  // One branch per holder record: drop (accruing) everything whose
-  // grace-extended expiry has drained. Every consumer of these records
-  // applies the same graceExpire(expire) > now test before reading
-  // them, so removal is observationally invisible -- except for the
-  // delayed-invalidation paths, which read an EXPIRED volume record's
-  // expiry to stamp the Inactive entry; sweptExpire preserves exactly
-  // that datum. Accrual totals are unchanged too: accrueRecord clamps
-  // at the record's expiry, which is <= now for everything swept.
-  // Whole tables are skipped via sweepFloor, a lower bound on every
-  // record's expiry: if even the earliest possible expiry is still in
-  // the future, the walk would erase nothing, so skipping it changes
-  // nothing observable. The bound only goes stale LOW (a renewal lifts
-  // a record past it), so a skip is always sound; each full walk
-  // re-tightens it to the exact minimum of the survivors.
+  // Drop (accruing) every holder record whose grace-extended expiry has
+  // drained. Every consumer of these records applies the same
+  // graceExpire(expire) > now test before reading them, so removal is
+  // observationally invisible -- except for the delayed-invalidation
+  // paths, which read an EXPIRED volume record's expiry to stamp the
+  // Inactive entry; sweptExpire preserves exactly that datum. Accrual
+  // totals are unchanged too: accrueRecord clamps at the record's
+  // expiry, which is <= now for everything swept.
+  // Each table's grant order is its expiry order (renewHolder), so the
+  // expired records are a prefix of it: pop from the oldest end and
+  // stop at the first live record. The cost is the number of records
+  // that expired, not the number held.
   const SimTime now = ctx_.scheduler.now();
+  lastSweepAt_ = now;
   std::size_t remaining = 0;
-  forEachOwnedVol([&](VolState& v) {
-    if (graceExpire(v.sweepFloor) > now) {
-      remaining += v.holders.size();
-      return;
+  auto sweepTable = [&](util::LifoIndexMap<LeaseRecord>& holders,
+                        auto&& onErase) {
+    for (auto e = holders.oldest();
+         e.value != nullptr && graceExpire(e.value->expire) <= now;
+         e = holders.oldest()) {
+      stats::accrueRecord(ctx_.metrics, id(), e.value->lastAccounted,
+                          e.value->expire, now);
+      onErase(e.key, e.value->expire);
+      holders.erase(e.key);
     }
-    SimTime floor = kNever;
-    v.holders.forEach([&](std::uint32_t ci, LeaseRecord& rec) {
-      if (graceExpire(rec.expire) > now) {
-        ++remaining;
-        floor = std::min(floor, rec.expire);
-        return;
+    remaining += holders.size();
+  };
+  forEachOwnedVol([&](VolState& v) {
+    sweepTable(v.holders, [&](std::uint32_t ci, SimTime expire) {
+      if (mode_ != InvalidationMode::kDelayed) return;
+      if (v.sweptExpire.size() < numClients_) {
+        v.sweptExpire.resize(numClients_, kNever);
       }
-      stats::accrueRecord(ctx_.metrics, id(), rec.lastAccounted, rec.expire,
-                          now);
-      if (mode_ == InvalidationMode::kDelayed) {
-        if (v.sweptExpire.size() < numClients_) {
-          v.sweptExpire.resize(numClients_, kNever);
-        }
-        v.sweptExpire[ci] = rec.expire;
-      }
-      v.holders.erase(ci);
+      v.sweptExpire[ci] = expire;
     });
-    v.sweepFloor = floor;
   });
   forEachOwnedObj([&](ObjState& st) {
-    if (graceExpire(st.sweepFloor) > now) {
-      remaining += st.holders.size();
-      return;
-    }
-    SimTime floor = kNever;
-    st.holders.forEach([&](std::uint32_t ci, LeaseRecord& rec) {
-      if (graceExpire(rec.expire) > now) {
-        ++remaining;
-        floor = std::min(floor, rec.expire);
-        return;
-      }
-      stats::accrueRecord(ctx_.metrics, id(), rec.lastAccounted, rec.expire,
-                          now);
-      st.holders.erase(ci);
-    });
-    st.sweepFloor = floor;
+    sweepTable(st.holders, [](std::uint32_t, SimTime) {});
   });
   if (remaining > 0 && !quiesced_) {
     sweepTimer_ = ctx_.scheduler.scheduleDeadlineAfter(

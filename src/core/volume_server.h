@@ -102,6 +102,12 @@ class VolumeServer final : public proto::ServerNode {
   std::size_t validObjectHolders(ObjectId obj) const;
   std::size_t validVolumeHolders(VolumeId vol) const;
   SimTime recoveryUntil() const { return recoveryUntil_; }
+  /// Owned holder records (volume and object) whose grace-extended
+  /// expiry is at or before `now`, counted by walking every table: the
+  /// records the expiry sweep exists to reclaim.
+  std::size_t expiredHolderCount(SimTime now) const;
+  /// When the expiry sweep last ran (kSimTimeMin: never).
+  SimTime lastSweepAt() const { return lastSweepAt_; }
 
  private:
   /// Inline capacity for deferred protocol actions: the largest closure
@@ -133,11 +139,6 @@ class VolumeServer final : public proto::ServerNode {
   struct VolState {
     Epoch epoch = 1;
     SimTime expire = kSimTimeMin;  // aggregate lease horizon
-    /// Lower bound on every holder's expiry (lowered on grant, exact
-    /// again after each sweep walk): while graceExpire(sweepFloor) is
-    /// in the future the sweep can skip the whole table -- nothing in
-    /// it could be erased, so skipping is observationally invisible.
-    SimTime sweepFloor = kNever;
     util::LifoIndexMap<LeaseRecord> holders;      // by client index
     std::vector<std::uint8_t> unreachable;        // by client index
     util::LifoIndexMap<InactiveClient> inactive;  // by client index
@@ -173,7 +174,6 @@ class VolumeServer final : public proto::ServerNode {
   struct ObjState {
     Version version = 1;
     SimTime expire = kSimTimeMin;  // aggregate lease horizon
-    SimTime sweepFloor = kNever;   // see VolState::sweepFloor
     util::LifoIndexMap<LeaseRecord> holders;  // by client index
     /// Slot of the in-flight write in pwPool_, kNilIdx when none.
     std::uint32_t pendingWrite = util::kNilIdx;
@@ -341,6 +341,11 @@ class VolumeServer final : public proto::ServerNode {
   void commitWrite(ObjectId obj);
   void drainVolumeDeferred(VolumeId volId);
 
+  /// Grant `ci` a lease of `term` from now in `holders` (accruing the
+  /// record it replaces) and move it to the newest end of the table's
+  /// grant order. Every holder-record expiry is set here.
+  const LeaseRecord& renewHolder(util::LifoIndexMap<LeaseRecord>& holders,
+                                 std::uint32_t ci, SimTime term);
   void removeObjHolder(ObjState& st, std::uint32_t ci);
   void removeVolHolder(VolState& st, std::uint32_t ci);
   /// Accrue and drop a client's pending list, recycling its storage.
@@ -363,8 +368,9 @@ class VolumeServer final : public proto::ServerNode {
     sweepTimer_ = ctx_.scheduler.scheduleDeadlineAfter(
         config_.leaseSweepPeriod, [this]() { sweepExpiredLeases(); });
   }
-  /// Scan every holder table, dropping (and accruing) records whose
-  /// grace-extended expiry has passed; re-arms while any records remain.
+  /// Pop from every holder table's oldest end the records (and accrue
+  /// them) whose grace-extended expiry has passed; re-arms while any
+  /// records remain.
   void sweepExpiredLeases();
   /// The volume-expiry a delayed-mode path should use for a client with
   /// no holder record: the swept record's expiry if the sweep removed
@@ -430,6 +436,7 @@ class VolumeServer final : public proto::ServerNode {
   /// Batch expiry-sweep state: one deadline-lane timer per server
   /// replaces what would otherwise be one expiry timer per lease.
   sim::TimerHandle sweepTimer_;
+  SimTime lastSweepAt_ = kSimTimeMin;
   bool sweepArmed_ = false;
   bool quiesced_ = false;
 };

@@ -161,14 +161,15 @@ struct ProtocolConfig {
   SimDuration retryInterval = sec(30);
 
   /// Batch lease-expiry sweep period for VolumeServer: every period the
-  /// server scans its dense per-volume/per-object holder tables and
-  /// drops (accruing) records whose grace-extended expiry has passed,
-  /// instead of keeping expired soft state around until the next write
-  /// or crash walks over it. 0 (the default) disables the sweep; any
-  /// period is observationally equivalent -- every consumer of a holder
-  /// record already checks graceExpire(expire) > now first, so removing
-  /// a drained record can never change protocol behavior, only trim the
-  /// tables writes iterate. Driven by the scheduler's deadline lane
+  /// server pops from the oldest end of each holder table's grant
+  /// (= expiry) order the records whose grace-extended expiry has
+  /// passed, accruing them, instead of keeping expired soft state
+  /// around until the next write or crash walks over it. 0 (the
+  /// default) disables the sweep; any period is observationally
+  /// equivalent -- every consumer of a holder record already checks
+  /// graceExpire(expire) > now first, so removing a drained record can
+  /// never change protocol behavior, only trim the tables writes
+  /// iterate. Driven by the scheduler's deadline lane
   /// (one timer per server, not one per lease).
   SimDuration leaseSweepPeriod = 0;
 

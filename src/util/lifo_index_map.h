@@ -1,14 +1,18 @@
 // Dense, insertion-ordered map keyed by small dense indices.
 //
 // Replaces the per-lease unordered_map<NodeId, ...> holder tables of
-// the volume server. Three pieces:
+// the volume server. Four pieces:
 //
 //   * a slab of nodes with stable slots and an intrusive free list
 //     (erase never moves surviving nodes, so no index fixups);
 //   * a per-key slot index (`slotOf_`) giving O(1) find/insert/erase
 //     with zero hashing and zero rehash;
 //   * an intrusive doubly-linked list threading the live nodes in
-//     most-recently-inserted-first (LIFO) order.
+//     most-recently-inserted-first (LIFO) order -- the iteration order;
+//   * a second intrusive doubly-linked list, the grant order: an insert
+//     appends to its newest end and touch(key) moves a node there, so
+//     oldest() is the node least recently inserted or touched. It never
+//     affects iteration: forEach is LIFO whatever touch() has done.
 //
 // The LIFO iteration order is a compatibility contract, not an
 // accident: the simulator's per-send loss draws make the server's
@@ -21,6 +25,12 @@
 // of an artifact of one standard library. Erase preserves the relative
 // order of survivors; re-inserting an erased key moves it to the front,
 // both matching the hash map's observable behavior.
+//
+// The grant order serves the volume server's expiry sweep: every grant
+// touches its record and sets expire = now + a fixed term, so a table's
+// grant order is its expiry order and the sweep pops expired records
+// from the oldest end, stopping at the first live one. Its two links
+// cost 8 bytes per node.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +57,10 @@ class LifoIndexMap {
   }
   bool contains(std::uint32_t key) const { return find(key) != nullptr; }
 
-  /// Insert a value for `key` at the FRONT of the iteration order if
-  /// absent; returns the value and whether it was inserted. An existing
-  /// key keeps its position (try_emplace semantics).
+  /// Insert a value for `key` at the FRONT of the iteration order (and
+  /// the newest end of the grant order) if absent; returns the value and
+  /// whether it was inserted. An existing key keeps both positions
+  /// (try_emplace semantics).
   std::pair<V*, bool> tryEmplace(std::uint32_t key) {
     if (key >= slotOf_.size()) slotOf_.resize(key + 1, kNilIdx);
     std::uint32_t slot = slotOf_[key];
@@ -68,10 +79,30 @@ class LifoIndexMap {
     node.next = head_;
     if (head_ != kNilIdx) slab_[head_].prev = slot;
     head_ = slot;
+    linkNewest(slot);
     slotOf_[key] = slot;
     ++size_;
     return {&node.value, true};
   }
+
+  /// Move `key` to the newest end of the grant order; the iteration
+  /// order is untouched. `key` must be present.
+  void touch(std::uint32_t key) {
+    VL_DCHECK(contains(key));
+    const std::uint32_t slot = slotOf_[key];
+    if (slot == newest_) return;
+    unlinkGrant(slot);
+    linkNewest(slot);
+  }
+
+  /// The entry least / most recently inserted or touched, or
+  /// {kNilIdx, nullptr} when empty.
+  struct Entry {
+    std::uint32_t key;
+    V* value;
+  };
+  Entry oldest() { return entryAt(oldest_); }
+  Entry newest() { return entryAt(newest_); }
 
   bool erase(std::uint32_t key) {
     if (key >= slotOf_.size() || slotOf_[key] == kNilIdx) return false;
@@ -80,6 +111,7 @@ class LifoIndexMap {
     if (node.prev != kNilIdx) slab_[node.prev].next = node.next;
     if (node.next != kNilIdx) slab_[node.next].prev = node.prev;
     if (head_ == slot) head_ = node.next;
+    unlinkGrant(slot);
     slotOf_[key] = kNilIdx;
     node.next = freeHead_;  // free list reuses the link field
     freeHead_ = slot;
@@ -118,6 +150,8 @@ class LifoIndexMap {
       i = next;
     }
     head_ = kNilIdx;
+    oldest_ = kNilIdx;
+    newest_ = kNilIdx;
     size_ = 0;
   }
 
@@ -125,13 +159,46 @@ class LifoIndexMap {
   struct Node {
     V value{};
     std::uint32_t key = 0;
-    std::uint32_t prev = kNilIdx;
+    std::uint32_t prev = kNilIdx;  // iteration (LIFO) order
     std::uint32_t next = kNilIdx;
+    std::uint32_t older = kNilIdx;  // grant order
+    std::uint32_t newer = kNilIdx;
   };
+
+  Entry entryAt(std::uint32_t slot) {
+    if (slot == kNilIdx) return {kNilIdx, nullptr};
+    return {slab_[slot].key, &slab_[slot].value};
+  }
+  void linkNewest(std::uint32_t slot) {
+    Node& node = slab_[slot];
+    node.older = newest_;
+    node.newer = kNilIdx;
+    if (newest_ != kNilIdx) {
+      slab_[newest_].newer = slot;
+    } else {
+      oldest_ = slot;
+    }
+    newest_ = slot;
+  }
+  void unlinkGrant(std::uint32_t slot) {
+    const Node& node = slab_[slot];
+    if (node.older != kNilIdx) {
+      slab_[node.older].newer = node.newer;
+    } else {
+      oldest_ = node.newer;
+    }
+    if (node.newer != kNilIdx) {
+      slab_[node.newer].older = node.older;
+    } else {
+      newest_ = node.older;
+    }
+  }
 
   std::vector<Node> slab_;
   std::vector<std::uint32_t> slotOf_;
   std::uint32_t head_ = kNilIdx;
+  std::uint32_t oldest_ = kNilIdx;
+  std::uint32_t newest_ = kNilIdx;
   std::uint32_t freeHead_ = kNilIdx;
   std::size_t size_ = 0;
 };

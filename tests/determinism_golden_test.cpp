@@ -258,8 +258,10 @@ TEST(DeterminismGoldenTest, ChaosSeedWithSkewByteIdentical) {
 /// be observationally invisible: it only drops holder records that every
 /// consumer already treats as dead (graceExpire <= now), accruing them
 /// with the same clamp later accrual would apply. Run the chaos point --
-/// faults, skew, epsilon margins, both volume algorithms -- with the
-/// sweep off and at two unrelated periods; every protocol-observable
+/// faults, skew, epsilon margins, both volume algorithms, and one volume
+/// migrating away and back (migrateOut clears its holder tables, the
+/// return refills them) -- with the sweep off and at two unrelated
+/// periods; every protocol-observable
 /// byte (messages, reads, writes, accrual totals, oracle verdicts,
 /// horizon) must be identical. firedEvents is deliberately excluded:
 /// the sweep timer itself fires.
@@ -308,9 +310,15 @@ TEST(DeterminismGoldenTest, ExpirySweepIsObservationallyInvisible) {
     sim.enableOracle = true;
     sim.oracleAuditPeriod = sec(10);
     sim.oracleSkewBound = skewBudget;
+    const VolumeId vol = catalog.volumes().front().id;
+    sim.migrations.push_back({workloadOptions.duration / 3, vol,
+                              catalog.serverNode(1), true});
+    sim.migrations.push_back({2 * workloadOptions.duration / 3, vol,
+                              catalog.serverNode(0), true});
 
     driver::Simulation simulation(catalog, config, sim);
     const stats::Metrics& metrics = simulation.run(workload.events);
+    EXPECT_EQ(simulation.migrationsApplied(), 2u);
     std::ostringstream os;
     os << "{\n"
        << "  \"finalNow\": " << simulation.scheduler().now() << ",\n"
