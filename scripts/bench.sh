@@ -33,8 +33,10 @@
 #
 # --check PCT: regression gate. Runs the suite, does NOT rewrite the
 # tracked file, and exits non-zero if any benchmark comes in more than
-# PCT percent below the recorded baseline. Used as a cheap smoke in
-# scripts/ci.sh (with a generous PCT -- best-of-few on a shared box).
+# PCT percent below the recorded baseline. A baseline entry the run did
+# not measure is listed as "not measured" and does not fail the gate.
+# Used as a cheap smoke in scripts/ci.sh (with a generous PCT --
+# best-of-few on a shared box).
 #
 # Usage: scripts/bench.sh [--suite kernel|protocol|scale|rt] [--set-baseline]
 #                         [--check PCT] [--label TEXT] [--min-time SEC]
@@ -139,6 +141,7 @@ if check_pct:
     for name in sorted(base):
         b, c = base[name], best.get(name)
         if c is None:
+            print(f"  {name:40s} base={b:>12.0f} {'not measured':>17s}")
             continue
         ratio = c / b
         flag = "FAIL" if ratio < 1.0 - tol else "ok"
@@ -152,6 +155,8 @@ if check_pct:
     for name in sorted(base_rss):
         b, c = base_rss[name], rss.get(name)
         if c is None:
+            print(f"  {name + ' rss_mb':40s} base={b:>12.1f} "
+                  f"{'not measured':>17s}")
             continue
         ratio = c / b
         flag = "FAIL" if ratio > 1.0 + tol else "ok"
@@ -238,6 +243,7 @@ if check_pct:
     for name in sorted(base):
         b, c = base[name], best.get(name)
         if c is None:
+            print(f"  {name:40s} base={b:>12.0f} {'not measured':>17s}")
             continue
         ratio = c / b
         flag = "FAIL" if ratio < 1.0 - tol else "ok"
@@ -334,7 +340,8 @@ if check_pct:
     for name in sorted(base):
         b, c = base[name], best.get(name)
         if c is None:
-            continue  # narrowed --filter; unmeasured benches are skipped
+            print(f"  {name:40s} base={b:>12.0f} {'not measured':>17s}")
+            continue
         ratio = c / b
         flag = "FAIL" if ratio < 1.0 - tol else "ok"
         print(f"  {name:40s} base={b:>12.0f} cur={c:>12.0f} "

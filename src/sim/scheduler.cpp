@@ -5,98 +5,32 @@
 
 namespace vlease::sim {
 
-namespace detail {
-
-SchedulerStoragePool& schedulerStoragePool() {
-  static thread_local SchedulerStoragePool pool;
-  return pool;
-}
-
-namespace {
-
-/// Pool caps, per thread: enough to recycle one large scheduler's worth
-/// of storage; anything beyond is released to the allocator normally.
-constexpr std::size_t kMaxPooledChunks = 512;  // ~512 * 512 slots
-constexpr std::size_t kMaxPooledBufs = 8;
-
-template <typename T>
-void takeBuf(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-  if (!pool.empty()) {
-    buf = std::move(pool.back());
-    pool.pop_back();
-    buf.clear();  // capacity is retained
-  }
-}
-
-template <typename T>
-void giveBuf(std::vector<std::vector<T>>& pool, std::vector<T>& buf) {
-  if (pool.size() < kMaxPooledBufs && buf.capacity() > 0) {
-    buf.clear();
-    pool.push_back(std::move(buf));
-  }
-}
-
-}  // namespace
-}  // namespace detail
-
-Scheduler::Scheduler() : ref_(new detail::SchedulerRef{this, 1}) {
-  auto& pool = detail::schedulerStoragePool();
-  detail::takeBuf(pool.nodeBufs, heap_);
-  detail::takeBuf(pool.nodeBufs, sorted_);
-  detail::takeBuf(pool.nodeBufs, fifo_);
-  detail::takeBuf(pool.wordBufs, gens_);
-  detail::takeBuf(pool.wordBufs, next_);
-  detail::takeBuf(pool.wordBufs, prev_);
-  detail::takeBuf(pool.wordBufs, wheelSeq_);
-  detail::takeBuf(pool.timeBufs, wheelAt_);
-}
+Scheduler::Scheduler() : ref_(new detail::SchedulerRef{this, 1}) {}
 
 Scheduler::~Scheduler() {
-  // Pending (never-fired) closures still hold their captures; destroy
-  // them before the chunks are recycled. The parity scan covers both
-  // lanes -- wheel-resident slots are armed (odd) like heap ones.
+  // Pending (never-fired) closures may hold a TimerHandle into this very
+  // scheduler; destroy them while ref_ is still live. The parity scan
+  // covers both lanes -- wheel-resident slots are armed (odd) like heap
+  // ones.
   for (std::uint32_t i = 0; i < numSlots_; ++i) {
     if (gens_[i] & 1u) slot(i).action.reset();
   }
-  auto& pool = detail::schedulerStoragePool();
-  while (!chunks_.empty() && pool.chunks.size() < detail::kMaxPooledChunks) {
-    pool.chunks.push_back(std::move(chunks_.back()));
-    chunks_.pop_back();
-  }
-  detail::giveBuf(pool.nodeBufs, heap_);
-  detail::giveBuf(pool.nodeBufs, sorted_);
-  detail::giveBuf(pool.nodeBufs, fifo_);
-  detail::giveBuf(pool.wordBufs, gens_);
-  detail::giveBuf(pool.wordBufs, next_);
-  detail::giveBuf(pool.wordBufs, prev_);
-  detail::giveBuf(pool.wordBufs, wheelSeq_);
-  detail::giveBuf(pool.timeBufs, wheelAt_);
   ref_->scheduler = nullptr;
   if (--ref_->refs == 0) delete ref_;
 }
 
 void Scheduler::heapPush(Node node) {
   std::size_t i = heap_.size();
-  // Sortedness tracking: appending a key >= the current maximum keeps
-  // the array in ascending order, which is itself a valid min-heap
-  // (parent index < child index), so no sift is needed at all. Bulk
-  // schedule-then-drain workloads push monotone keys, so the whole heap
-  // stays a sorted run ready for O(1) promotion (rebuildSortedRun).
-  if (heapSorted_) {
-    if (i == 0 || !nodeBefore(node, heap_[i - 1])) {
-      heap_.push_back(node);
-      return;
-    }
-    heapSorted_ = false;
-  }
   heap_.push_back(node);
   Node* h = heap_.data();
+  // Hole-based sift-up, the mirror of heapPopTop's sift-down.
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!nodeBefore(h[i], h[parent])) break;
-    std::swap(h[i], h[parent]);
+    if (!nodeBefore(node, h[parent])) break;
+    h[i] = h[parent];
     i = parent;
   }
+  h[i] = node;
 }
 
 void Scheduler::heapPopTop() {
@@ -104,11 +38,7 @@ void Scheduler::heapPopTop() {
   Node* h = heap_.data();
   const Node moved = h[n];  // displaced leaf to re-insert
   heap_.pop_back();
-  if (n == 0) {
-    heapSorted_ = true;  // empty again; start a fresh monotone run
-    return;
-  }
-  heapSorted_ = false;  // the displaced leaf breaks array order
+  if (n == 0) return;
   // Hole-based sift-down: slide the min child up into the hole at each
   // level instead of swapping, halving the stores per level.
   std::size_t i = 0;
@@ -125,68 +55,6 @@ void Scheduler::heapPopTop() {
     i = best;
   }
   h[i] = moved;
-}
-
-void Scheduler::siftDown(std::size_t i) {
-  Node* h = heap_.data();
-  const std::size_t n = heap_.size();
-  const Node v = h[i];
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (nodeBefore(h[c], h[best])) best = c;
-    }
-    if (!nodeBefore(h[best], v)) break;
-    h[i] = h[best];
-    i = best;
-  }
-  h[i] = v;
-}
-
-void Scheduler::compact() {
-  // The run and the FIFO are cursor-drained in array order: filtering
-  // preserves the relative order of the survivors, which is all their
-  // pop order depends on. (The wheel holds no dead nodes -- deadline
-  // cancels unlink eagerly -- so only the exact-lane queues are swept.)
-  const auto dropDead = [this](std::vector<Node>& v, std::size_t& cur) {
-    std::size_t w = 0;
-    for (std::size_t r = cur; r < v.size(); ++r) {
-      const std::uint32_t s = v[r].slot;
-      if (gens_[s] & 1u) {
-        v[w++] = v[r];
-      } else {
-        freeSlot(s);
-      }
-    }
-    v.resize(w);
-    cur = 0;
-  };
-  dropDead(sorted_, sortedCur_);
-  dropDead(fifo_, fifoCur_);
-  // The heap pops by key, and keys are unique, so any valid heap over
-  // the surviving nodes fires in the identical order. Filter in place,
-  // then Floyd-heapify. A previously sorted array stays sorted (a
-  // subsequence of an ascending run is ascending) and thus stays a
-  // valid heap without any sifting.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < heap_.size(); ++r) {
-    const std::uint32_t s = heap_[r].slot;
-    if (gens_[s] & 1u) {
-      heap_[w++] = heap_[r];
-    } else {
-      freeSlot(s);
-    }
-  }
-  heap_.resize(w);
-  if (!heapSorted_ && w > 1) {
-    for (std::size_t i = (w - 2) / 4 + 1; i-- > 0;) siftDown(i);
-  } else if (w <= 1) {
-    heapSorted_ = true;  // trivially ascending; start a fresh run
-  }
-  dead_ = 0;
 }
 
 void Scheduler::promoteDueBucket() {
@@ -238,20 +106,7 @@ void Scheduler::recomputeWheelNext() {
   wheelNextBucket_ = bestBucket;
 }
 
-void Scheduler::rebuildSortedRun() {
-  // Only called when the run is empty and the heap array is known to be
-  // in ascending key order, so this is a buffer swap -- nothing is
-  // copied, nothing is sorted. The heap inherits the run's old capacity,
-  // which is what makes steady-state drains allocation-free: the two
-  // buffers just alternate roles.
-  sorted_.clear();
-  sortedCur_ = 0;
-  std::swap(sorted_, heap_);
-  heapSorted_ = true;
-}
-
 std::int64_t Scheduler::run() {
-  maybeRebuildSortedRun();
   std::int64_t n = 0;
   while (peekArmed(kNever)) {
     fireTop();
@@ -261,7 +116,6 @@ std::int64_t Scheduler::run() {
 }
 
 std::int64_t Scheduler::runUntil(SimTime until) {
-  maybeRebuildSortedRun();
   std::int64_t n = 0;
   // promoteLimit = until: buckets due past the horizon stay parked on
   // the wheel (a trace replay calls runUntil per injected event -- far

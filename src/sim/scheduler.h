@@ -68,34 +68,11 @@
 // exactness -- the documented contract remains [deadline, deadline +
 // granularity) so the representation stays free to coarsen.)
 //
-// Further accelerations, all invisible to semantics:
-//   * Sorted-run drain: the kernel tracks (at O(1) per operation)
-//     whether the heap array happens to be in ascending key order --
-//     which bulk schedule-then-drain workloads always produce -- and if
-//     so promotes it wholesale to a cursor-drained sorted run at drain
-//     entry, making each pop O(1) instead of a full-depth sift. The pop
-//     order is the same total order either way ((time, seq) keys are
-//     unique), so firing order is bit-for-bit identical.
-//   * Same-instant FIFO lane: an event scheduled for exactly now() --
-//     every message on a zero-latency network -- skips the heap and
-//     lands in a flat FIFO ring instead. Sequence numbers are globally
-//     increasing, so the ring is seq-ordered by construction, and while
-//     it is nonempty nothing later than now() can fire, so all resident
-//     ring entries share one timestamp; the pop chooses the (time, seq)
-//     minimum across ring, run, and heap, which is the exact total
-//     order the heap alone produced. Fan-out bursts become O(1) per
-//     event instead of a full-depth sift through resident timers.
-//   * Dead-node compaction: exact-lane cancellation is lazy (the heap
-//     node stays), which in cancel-heavy runs strands dead nodes that
-//     deepen every sift and pin arena slots. When dead nodes outnumber
-//     live ones the kernel filters them out and re-heapifies in place.
-//     Pop order depends only on the (unique) keys, never on the array
-//     layout, so firing order is unchanged.
-//   * Per-thread storage recycling: destroyed schedulers donate their
-//     slot chunks and vector buffers to a thread-local pool that the
-//     next scheduler on that thread reuses (detail::SchedulerStoragePool),
-//     so the one-scheduler-per-sweep-point lifecycle stops churning
-//     pages through mmap/brk.
+// The exact lane is a plain 4-ary heap with nothing layered on it. Only
+// audit, fault and migration timers are cancelled on it (the cancel-heavy
+// timers live on the wheel), so its lazily deleted nodes stay bounded by
+// the fault plan; and no perfbench end-to-end metric moved beyond noise
+// with drain shortcuts (a sorted-run drain, a same-instant ring) on top.
 //
 // Handle lifetime: handles may outlive the scheduler. They share one
 // non-atomically refcounted block per scheduler that is nulled on
@@ -152,21 +129,6 @@ struct EventSlot {
   EventAction action;
 };
 
-/// Per-thread recycling pool for scheduler backing storage. Fresh
-/// schedulers are created constantly (one per sweep point, one per
-/// benchmark iteration); handing chunks and vector buffers back and
-/// forth here keeps those lifecycles off the mmap/brk boundary, where
-/// glibc would otherwise fault-in and release the same pages over and
-/// over. Buffers return to the pool of the thread that destroys the
-/// scheduler; sizes are capped in ~Scheduler so an unusually large run
-/// doesn't pin memory forever.
-struct SchedulerStoragePool {
-  std::vector<std::unique_ptr<EventSlot[]>> chunks;
-  std::vector<std::vector<EventNode>> nodeBufs;
-  std::vector<std::vector<std::uint32_t>> wordBufs;
-  std::vector<std::vector<SimTime>> timeBufs;
-};
-SchedulerStoragePool& schedulerStoragePool();
 }  // namespace detail
 
 /// Cancellation token for a scheduled event. Default-constructed handles
@@ -252,11 +214,7 @@ class Scheduler {
     const std::uint32_t index = allocSlot();
     this->slot(index).action.emplace(std::forward<F>(action));
     const std::uint32_t gen = ++gens_[index];  // even -> odd: armed
-    if (at == now_) {
-      fifo_.push_back(Node{at, nextSeq_++, index});
-    } else {
-      heapPush(Node{at, nextSeq_++, index});
-    }
+    heapPush(Node{at, nextSeq_++, index});
     ++live_;
     return TimerHandle(ref_, index, gen);
   }
@@ -276,8 +234,8 @@ class Scheduler {
   /// must not rely on that). Insert is O(1); cancel is O(1) and
   /// reclaims the slot immediately, so the expected-case
   /// schedule-then-cancel lifecycle of lease and timeout timers never
-  /// touches the heap. Deadlines at the current instant take the
-  /// same-instant FIFO lane, exactly like scheduleAt.
+  /// touches the heap. A deadline at the current instant goes straight
+  /// to the exact heap, exactly like scheduleAt.
   template <typename F>
   TimerHandle scheduleDeadline(SimTime at, F&& action) {
     VL_CHECK_MSG(at >= now_, "cannot schedule in the past");
@@ -286,7 +244,7 @@ class Scheduler {
     const std::uint32_t gen = ++gens_[index];  // even -> odd: armed
     const std::uint32_t seq = nextSeq_++;
     if (at == now_) {
-      fifo_.push_back(Node{at, seq, index});
+      heapPush(Node{at, seq, index});
     } else {
       wheelLink(index, at, seq);
     }
@@ -326,11 +284,6 @@ class Scheduler {
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint32_t kChunkShift = 9;  // 512 slots per chunk
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  /// Below this many heap nodes a drain just pops the heap directly.
-  static constexpr std::size_t kSortedRunThreshold = 64;
-  /// Compaction never triggers below this many dead nodes (small runs
-  /// recycle dead entries through peekArmed fast enough).
-  static constexpr std::size_t kCompactMinDead = 1024;
   /// Generation-wraparound guard: once a slot's generation counter gets
   /// within one lifecycle of wrapping 2^32, freeSlot() retires the slot
   /// instead of recycling it, so a TimerHandle from ~2^31 lifecycles
@@ -381,13 +334,7 @@ class Scheduler {
     }
     if ((numSlots_ & (kChunkSize - 1)) == 0) {
       VL_CHECK_MSG(numSlots_ < kNoSlot - kChunkSize, "event arena exhausted");
-      auto& pool = detail::schedulerStoragePool();
-      if (!pool.chunks.empty()) {
-        chunks_.push_back(std::move(pool.chunks.back()));
-        pool.chunks.pop_back();
-      } else {
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      }
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
       gens_.resize(numSlots_ + kChunkSize, 0);
       next_.resize(numSlots_ + kChunkSize, kNoSlot);
       prev_.resize(numSlots_ + kChunkSize, kNoSlot);
@@ -405,12 +352,6 @@ class Scheduler {
 
   void heapPush(Node node);
   void heapPopTop();
-  void siftDown(std::size_t i);
-  /// Drop every disarmed node from all three exact-lane queues,
-  /// recycling their slots, then restore the heap invariant in place.
-  /// (Wheel buckets hold no dead nodes: deadline cancels unlink
-  /// eagerly.)
-  void compact();
 
   // ---- timing-wheel internals ----
   /// Level for a strictly positive delta: lowest L whose 64-bucket span
@@ -496,74 +437,13 @@ class Scheduler {
   /// Rescan the occupancy bitmaps for the new earliest-due bucket.
   void recomputeWheelNext();
 
-  /// Nodes already consumed from the sorted run.
-  bool haveSorted() const { return sortedCur_ < sorted_.size(); }
-  std::size_t sortedRemaining() const { return sorted_.size() - sortedCur_; }
-  bool haveFifo() const { return fifoCur_ < fifo_.size(); }
-
-  /// Nodes resident in any of the three exact-lane queues, dead or
-  /// alive (compaction-ratio denominator; wheel entries are never dead).
-  std::size_t residentNodes() const {
-    return heap_.size() + sortedRemaining() + (fifo_.size() - fifoCur_);
-  }
-
-  /// Current minimum across the same-instant FIFO, the sorted-run
-  /// cursor, and the heap, or null when all are empty. Keys are unique,
-  /// so the choice is total.
-  const Node* topNode() const {
-    const Node* best = haveFifo() ? &fifo_[fifoCur_] : nullptr;
-    if (haveSorted()) {
-      const Node* s = &sorted_[sortedCur_];
-      if (best == nullptr || nodeBefore(*s, *best)) best = s;
-    }
-    if (!heap_.empty()) {
-      const Node* h = heap_.data();
-      if (best == nullptr || nodeBefore(*h, *best)) best = h;
-    }
-    return best;
-  }
-
-  /// Pop the node `topNode()` just returned (pointer identifies which
-  /// structure it lives in).
-  void popTop(const Node* top) {
-    if (haveFifo() && top == &fifo_[fifoCur_]) {
-      ++fifoCur_;
-      if (!haveFifo()) {
-        fifo_.clear();
-        fifoCur_ = 0;
-      }
-    } else if (haveSorted() && top == &sorted_[sortedCur_]) {
-      ++sortedCur_;
-      if (!haveSorted()) {
-        sorted_.clear();
-        sortedCur_ = 0;
-      }
-    } else {
-      heapPopTop();
-    }
-  }
-
-  void rebuildSortedRun();
-
-  /// Promote the heap to the sorted run -- called at drain entry points.
-  /// Fires only when the run is empty and the heap array is known to be
-  /// in ascending order (`heapSorted_`, tracked incrementally at O(1)
-  /// per push/pop), so the promotion is a pure buffer swap and draining
-  /// then costs O(1) per event instead of a full-depth sift. The bulk
-  /// schedule-then-drain pattern (trace replay, benchmarks) always
-  /// qualifies; a heap with interleaved pops stays a plain heap --
-  /// nothing is ever sorted or copied.
-  void maybeRebuildSortedRun() {
-    if (heapSorted_ && !haveSorted() &&
-        heap_.size() >= kSortedRunThreshold) {
-      rebuildSortedRun();
-    }
-  }
+  /// The exact heap's minimum, or null when it is empty.
+  const Node* topNode() const { return heap_.empty() ? nullptr : heap_.data(); }
 
   /// Drop cancelled nodes (and promote due wheel buckets) until the
-  /// queues' top is armed. Returns false when everything fireable is
+  /// heap's top is armed. Returns false when everything fireable is
   /// exhausted. `promoteLimit` bounds which wheel buckets may be
-  /// promoted while the exact queues are empty: run()/step() pass
+  /// promoted while the heap is empty: run()/step() pass
   /// kNever (drain the wheel too); runUntil(t) passes t so far-future
   /// buckets stay untouched on the wheel. A bucket whose boundary is at
   /// or before the current top key is always promoted -- it may hold
@@ -580,9 +460,8 @@ class Scheduler {
       if (top == nullptr) return false;
       const std::uint32_t index = top->slot;
       if (gens_[index] & 1u) return true;
-      popTop(top);
+      heapPopTop();
       freeSlot(index);
-      --dead_;
     }
   }
 
@@ -591,13 +470,12 @@ class Scheduler {
   /// stable, and the slot is recycled only after the callback returns,
   /// so reentrant schedule/cancel/drain calls are safe.
   void fireTop() {
-    const Node* tp = topNode();
-    const Node top = *tp;  // copy: callbacks may reallocate the vectors
+    const Node top = heap_.front();  // copy: callbacks may reallocate
     Slot& s = slot(top.slot);
     now_ = top.at;
     ++gens_[top.slot];  // odd -> even: disarmed; handles go stale here
     --live_;
-    popTop(tp);
+    heapPopTop();
     ++fired_;
     s.action();  // slot addresses are stable; reentrancy-safe
     s.action.reset();
@@ -609,20 +487,14 @@ class Scheduler {
     slot(index).action.reset();       // release captures eagerly
     ++gens_[index];                   // odd -> even: disarmed
     --live_;
-    if (slotOnWheel(index)) {
-      // Deadline lane: unlink and reclaim immediately -- the whole
-      // point of the wheel is that the common cancelled-before-expiry
-      // lease timer costs O(1) and leaves nothing behind.
-      wheelUnlink(index);
-      freeSlot(index);
-      return;
-    }
-    ++dead_;
-    // The queue node stays; peekArmed() recycles the slot when it
-    // surfaces -- unless dead nodes come to dominate, in which case
-    // compact() sweeps them out eagerly (far-future timers that get
-    // cancelled would otherwise never surface).
-    if (dead_ >= kCompactMinDead && dead_ * 2 > residentNodes()) compact();
+    // Exact lane: the heap node stays; peekArmed() recycles the slot
+    // when it surfaces.
+    if (!slotOnWheel(index)) return;
+    // Deadline lane: unlink and reclaim immediately -- the whole point
+    // of the wheel is that the common cancelled-before-expiry lease
+    // timer costs O(1) and leaves nothing behind.
+    wheelUnlink(index);
+    freeSlot(index);
   }
 
   bool slotPending(std::uint32_t index, std::uint32_t gen) const {
@@ -633,22 +505,9 @@ class Scheduler {
   std::uint32_t nextSeq_ = 0;
   std::int64_t fired_ = 0;
   std::size_t live_ = 0;
+  /// Exact lane: 4-ary min-heap of (time, seq) keys. Cancelled nodes
+  /// stay until they reach the top (lazy deletion).
   std::vector<Node> heap_;
-  /// True while `heap_`'s array happens to be in ascending key order
-  /// (maintained incrementally; trivially true when empty).
-  bool heapSorted_ = true;
-  /// Drain accelerator: nodes promoted out of the heap, ascending by
-  /// key, consumed front-to-back via `sortedCur_`
-  /// (see rebuildSortedRun).
-  std::vector<Node> sorted_;
-  std::size_t sortedCur_ = 0;
-  /// Same-instant lane: events scheduled for exactly now(), seq-ordered
-  /// by construction, consumed front-to-back via `fifoCur_`.
-  std::vector<Node> fifo_;
-  std::size_t fifoCur_ = 0;
-  /// Disarmed nodes still resident in an exact-lane queue (lazy
-  /// deletion debt).
-  std::size_t dead_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   /// Per-slot generation counters; odd == armed. Slots whose counter
   /// nears 2^32 are retired by freeSlot (kGenRetire), so a stale handle

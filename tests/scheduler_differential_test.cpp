@@ -6,13 +6,19 @@
 // events that cancel other pending events from inside their callback and
 // events that schedule children reentrantly -- over ~1e5 events, and the
 // firing sequences must match exactly (time order, FIFO within a tick,
-// cancelled events skipped). Directed cases cover cancellation during a
-// callback at the same instant and handles that outlive the scheduler.
+// cancelled events skipped). Besides that random mix, the same harness
+// drives three traffic shapes a kernel is tempted to special-case: a bulk
+// monotone schedule-then-drain, same-instant fan-out bursts, and a mass
+// of far-future timers cancelled before any fires. Directed cases cover
+// cancellation during a callback at the same instant and handles that
+// outlive the scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -21,9 +27,10 @@
 namespace vlease::sim {
 namespace {
 
-/// Naive reference: a vector kept sorted by (at, seq); firing pops the
+/// Naive reference: a deque kept sorted by (at, seq); firing pops the
 /// front live entry. Deliberately simple and structurally unlike the
-/// production 4-ary-heap + arena kernel.
+/// production 4-ary-heap + arena kernel. (A deque, not a vector, so
+/// popping the front of a 2^17-event queue stays O(1).)
 class NaiveScheduler {
  public:
   using Handle = std::shared_ptr<bool>;  // *handle == still pending
@@ -46,7 +53,7 @@ class NaiveScheduler {
     std::int64_t n = 0;
     while (true) {
       // The front live entry; reentrant scheduleAt() calls keep the
-      // vector sorted, so the front is always the global minimum.
+      // deque sorted, so the front is always the global minimum.
       auto it = std::find_if(queue_.begin(), queue_.end(),
                              [](const Entry& e) { return *e.alive; });
       if (it == queue_.end() || it->at > until) break;
@@ -94,18 +101,19 @@ class NaiveScheduler {
   };
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::vector<Entry> queue_;
+  std::deque<Entry> queue_;
 };
 
 /// Shared description of one logical event, so both schedulers run the
 /// same side effects with the same pre-drawn parameters.
 struct EventSpec {
-  enum class Kind { kRecord, kCancelVictim, kSpawnChild };
+  enum class Kind { kRecord, kCancelVictim, kSpawnChild, kFanOut };
   int id = 0;
   Kind kind = Kind::kRecord;
   std::size_t victim = 0;       // kCancelVictim: index into handle registry
   SimDuration childDelay = 0;   // kSpawnChild
-  int childId = 0;
+  int childId = 0;              // kSpawnChild; kFanOut: first child id
+  int width = 0;                // kFanOut
 };
 
 class DifferentialDriver {
@@ -125,11 +133,45 @@ class DifferentialDriver {
     ++scheduled_;
   }
 
+  /// `count` top-level events at nondecreasing instants (four per
+  /// tick), all scheduled before anything runs.
+  void scheduleMonotone(int count) {
+    const SimTime start = real_.now();
+    for (int i = 0; i < count; ++i) {
+      schedule(start + i / 4, std::make_shared<EventSpec>(drawSpec()));
+      ++scheduled_;
+    }
+  }
+
+  /// One event that, when it fires, fans out `width` recorders at now()
+  /// and `width` at now()+1, with a deadline at now() after every fourth
+  /// pair.
+  void scheduleFanOut(SimDuration delay, int width) {
+    EventSpec spec;
+    spec.id = nextId_++;
+    spec.kind = EventSpec::Kind::kFanOut;
+    spec.width = width;
+    spec.childId = nextId_;
+    nextId_ += 3 * width;
+    schedule(real_.now() + delay, std::make_shared<EventSpec>(spec));
+    ++scheduled_;
+  }
+
+  /// `count` exact-lane timers far beyond every other event, all
+  /// cancelled before any of them can fire.
+  void scheduleAndCancelFarFuture(int count) {
+    const std::size_t first = realHandles_.size();
+    const SimTime far = real_.now() + 1'000'000'000;
+    for (int i = 0; i < count; ++i) {
+      schedule(far + i, std::make_shared<EventSpec>(drawSpec()));
+      ++scheduled_;
+    }
+    for (std::size_t i = first; i < realHandles_.size(); ++i) cancel(i);
+  }
+
   void cancelRandom() {
     if (realHandles_.empty()) return;
-    const std::size_t i = rng_.nextBelow(realHandles_.size());
-    realHandles_[i].cancel();
-    if (i < naiveHandles_.size()) *naiveHandles_[i] = false;
+    cancel(rng_.nextBelow(realHandles_.size()));
   }
 
   void runUntilRandom() {
@@ -154,6 +196,8 @@ class DifferentialDriver {
     ASSERT_EQ(firedReal_, firedNaive_) << "diverged by op " << op;
     ASSERT_EQ(real_.pendingCount(), naive_.pendingCount())
         << "pending mismatch by op " << op;
+    ASSERT_EQ(real_.empty(), naive_.pendingCount() == 0)
+        << "empty mismatch by op " << op;
     ASSERT_EQ(real_.now(), naive_.now());
   }
 
@@ -177,6 +221,11 @@ class DifferentialDriver {
     return spec;
   }
 
+  void cancel(std::size_t i) {
+    realHandles_[i].cancel();
+    if (i < naiveHandles_.size()) *naiveHandles_[i] = false;
+  }
+
   void schedule(SimTime at, const std::shared_ptr<EventSpec>& spec) {
     const bool viaWheel = mixedLanes_ && rng_.nextBelow(2) == 0;
     auto realFn = [this, spec] { fire(*spec, firedReal_, /*isReal=*/true); };
@@ -198,22 +247,39 @@ class DifferentialDriver {
           *naiveHandles_[spec.victim] = false;
         }
         break;
-      case EventSpec::Kind::kSpawnChild: {
+      case EventSpec::Kind::kSpawnChild:
         // Reentrant scheduling: the child lands relative to the firing
         // instant, possibly inside the currently draining tick. The
         // child is a plain recorder; its parameters were drawn when the
         // parent was created, so both sides agree.
-        const int childId = spec.childId;
-        if (isReal) {
-          real_.scheduleAt(real_.now() + spec.childDelay,
-                           [this, childId] { firedReal_.push_back(childId); });
-        } else {
-          naive_.scheduleAt(naive_.now() + spec.childDelay, [this, childId] {
-            firedNaive_.push_back(childId);
-          });
+        spawnRecorder(isReal, spec.childDelay, spec.childId);
+        break;
+      case EventSpec::Kind::kFanOut:
+        for (int i = 0; i < spec.width; ++i) {
+          const int id = spec.childId + 3 * i;
+          spawnRecorder(isReal, 0, id);
+          spawnRecorder(isReal, 1, id + 1);
+          if (i % 4 == 0) spawnRecorder(isReal, 0, id + 2, /*deadline=*/true);
         }
         break;
-      }
+    }
+  }
+
+  /// Schedule a child that only records its id. On the real scheduler
+  /// `deadline` routes it through scheduleDeadline; the reference keeps
+  /// exact semantics for every child.
+  void spawnRecorder(bool isReal, SimDuration delay, int id,
+                     bool deadline = false) {
+    if (!isReal) {
+      naive_.scheduleAt(naive_.now() + delay,
+                        [this, id] { firedNaive_.push_back(id); });
+      return;
+    }
+    auto fn = [this, id] { firedReal_.push_back(id); };
+    if (deadline) {
+      real_.scheduleDeadline(real_.now() + delay, fn);
+    } else {
+      real_.scheduleAt(real_.now() + delay, fn);
     }
   }
 
@@ -229,30 +295,97 @@ class DifferentialDriver {
   bool mixedLanes_ = false;
 };
 
-class SchedulerDifferentialTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
+/// Traffic the harness drives: the interleaved random mix, or one of
+/// the shapes named in the file comment.
+enum class Shape { kRandomMix, kBulkMonotone, kSameTickFanOut, kCancelledFarFuture };
+
+struct DiffCase {
+  Shape shape;
+  std::uint64_t seed;
+};
+
+/// gtest prints the parameter into the test name: a random-mix case is
+/// named by its bare seed, a shape by its name.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  switch (c.shape) {
+    case Shape::kRandomMix:
+      *os << c.seed;
+      break;
+    case Shape::kBulkMonotone:
+      *os << "BulkMonotone";
+      break;
+    case Shape::kSameTickFanOut:
+      *os << "SameTickFanOut";
+      break;
+    case Shape::kCancelledFarFuture:
+      *os << "CancelledFarFuture";
+      break;
+  }
+}
+
+class SchedulerDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(SchedulerDifferentialTest, MatchesNaiveReferenceOver1e5Events) {
-  DifferentialDriver driver(GetParam());
-  Rng opRng(GetParam() ^ 0xdeadbeefull);
+  const DiffCase param = GetParam();
+  DifferentialDriver driver(param.seed);
+  Rng opRng(param.seed ^ 0xdeadbeefull);
 
   int op = 0;
-  while (driver.scheduled() < 100'000) {
-    ++op;
-    const std::uint64_t roll = opRng.nextBelow(100);
-    if (roll < 70) {
-      // schedule (ties are common; spawns/cancels mixed in)
-      driver.scheduleTopLevel();
-    } else if (roll < 85) {
-      driver.cancelRandom();
-    } else if (roll < 95) {
-      driver.runUntilRandom();
-      driver.verify(op);
-    } else {
-      driver.stepBoth();
-    }
-    if (::testing::Test::HasFatalFailure()) return;
+  switch (param.shape) {
+    case Shape::kRandomMix:
+      while (driver.scheduled() < 100'000) {
+        ++op;
+        const std::uint64_t roll = opRng.nextBelow(100);
+        if (roll < 70) {
+          // schedule (ties are common; spawns/cancels mixed in)
+          driver.scheduleTopLevel();
+        } else if (roll < 85) {
+          driver.cancelRandom();
+        } else if (roll < 95) {
+          driver.runUntilRandom();
+          driver.verify(op);
+        } else {
+          driver.stepBoth();
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      break;
+    case Shape::kBulkMonotone:
+      // Everything is scheduled before the first event fires; the run()
+      // below drains it.
+      driver.scheduleMonotone(1 << 17);
+      driver.verify(++op);
+      break;
+    case Shape::kSameTickFanOut:
+      for (int round = 0; round < 6; ++round) {
+        driver.scheduleFanOut(static_cast<SimDuration>(opRng.nextBelow(3)),
+                              4096);
+        for (int i = 0; i < 256; ++i) driver.scheduleTopLevel();
+        // Checkpoints in the middle of the bursts, then past them.
+        for (int chunk = 0; chunk < 8; ++chunk) {
+          for (int i = 0; i < 512; ++i) driver.stepBoth();
+          driver.verify(++op);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        driver.runUntilRandom();
+        driver.verify(++op);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      break;
+    case Shape::kCancelledFarFuture:
+      driver.scheduleAndCancelFarFuture(1 << 14);
+      driver.verify(++op);
+      for (int i = 0; i < (1 << 16); ++i) {
+        driver.scheduleTopLevel();
+        if (i % 64 == 63) {
+          driver.runUntilRandom();
+          driver.verify(++op);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+      break;
   }
+  if (::testing::Test::HasFatalFailure()) return;
 
   driver.drain();
   driver.verify(op);
@@ -260,8 +393,15 @@ TEST_P(SchedulerDifferentialTest, MatchesNaiveReferenceOver1e5Events) {
   EXPECT_GE(driver.firedReal().size(), 50'000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerDifferentialTest,
-                         ::testing::Values(11, 23, 37, 59));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SchedulerDifferentialTest,
+    ::testing::Values(DiffCase{Shape::kRandomMix, 11},
+                      DiffCase{Shape::kRandomMix, 23},
+                      DiffCase{Shape::kRandomMix, 37},
+                      DiffCase{Shape::kRandomMix, 59},
+                      DiffCase{Shape::kBulkMonotone, 71},
+                      DiffCase{Shape::kSameTickFanOut, 83},
+                      DiffCase{Shape::kCancelledFarFuture, 97}));
 
 /// Same differential harness, but half the real scheduler's events go
 /// through the timing-wheel lane (scheduleDeadline) while the naive

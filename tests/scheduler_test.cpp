@@ -188,7 +188,7 @@ TEST(SchedulerDeadlineTest, SameInstantDeadlineIsFifoWithExactLane) {
   Scheduler s;
   std::vector<int> order;
   s.scheduleAt(5, [&] {
-    s.scheduleDeadline(5, [&] { order.push_back(2); });  // == now: FIFO lane
+    s.scheduleDeadline(5, [&] { order.push_back(2); });  // == now: exact heap
     s.scheduleAt(5, [&] { order.push_back(3); });
     order.push_back(1);
   });
