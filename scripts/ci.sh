@@ -117,6 +117,29 @@ if (( FLASH_LOAD * 10 < QUIET_LOAD * 15 )); then  # require >= 1.5x
   exit 1
 fi
 
+# Oracle at scale: the scale gate's 50k-client point with the online
+# consistency oracle on must report no violations. Its audit walks only
+# the entries the caches hold, so the full population is affordable.
+# The must-fail control (clients ack invalidations without applying
+# them) must report violations, or the point proves nothing.
+ORACLE_ARGS=(--clients 50000 --events 5000000 --oracle)
+oracle_violations() {
+  python3 -c 'import json,sys; print(json.load(sys.stdin)["oracle_violations"])'
+}
+CLEAN_VIOLATIONS=$(build/tools/vlease_scale "${ORACLE_ARGS[@]}" |
+  oracle_violations)
+if (( CLEAN_VIOLATIONS != 0 )); then
+  echo "oracle at scale: $CLEAN_VIOLATIONS violations on a clean run" >&2
+  exit 1
+fi
+BROKEN_VIOLATIONS=$(build/tools/vlease_scale "${ORACLE_ARGS[@]}" \
+  --break-invalidation 2>/dev/null | oracle_violations)
+if (( BROKEN_VIOLATIONS == 0 )); then
+  echo "oracle at scale: negative control unexpectedly reported 0" \
+       "violations" >&2
+  exit 1
+fi
+
 # Bench smoke: every micro bench must run to completion. Timings are not
 # checked here (scripts/bench.sh tracks those in BENCH_kernel.json); the
 # tiny min_time just keeps the stage fast. NOTE: this google-benchmark

@@ -1,5 +1,7 @@
 #include "core/volume_client.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace vlease::core {
@@ -26,14 +28,19 @@ Epoch VolumeClient::knownEpoch(VolumeId vol) const {
   return i < volumes_.size() ? volumes_[i].epoch : 0;
 }
 
-proto::ClientNode::CacheView VolumeClient::cacheView(ObjectId obj,
-                                                     SimTime now) const {
+void VolumeClient::servable(SimTime now, std::vector<Servable>& out) const {
   // Mirrors read(): a local hit needs BOTH a valid object lease and a
   // valid lease on the enclosing volume.
-  if (!volumeValid(ctx_.catalog.object(obj).volume, now)) return {};
-  const LeaseCache::Entry* entry = cache_.find(obj);
-  if (entry == nullptr || !entry->valid(leaseGuard(now))) return {};
-  return {true, entry->version()};
+  const SimTime guard = leaseGuard(now);
+  const auto live = [&](const VolLease& v) { return v.expire > guard; };
+  if (std::none_of(volumes_.begin(), volumes_.end(), live)) return;
+  cache_.forEach([&](ObjectId obj, const LeaseCache::Entry& entry) {
+    if (!entry.valid(guard)) return;
+    const std::size_t vol = raw(ctx_.catalog.object(obj).volume);
+    if (vol < volumes_.size() && live(volumes_[vol])) {
+      out.push_back({obj, entry.version()});
+    }
+  });
 }
 
 void VolumeClient::dropCache() {

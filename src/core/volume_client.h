@@ -44,7 +44,7 @@ class VolumeClient final : public proto::ClientNode {
   void dropCache() override;
   void retire() override;
   void deliver(const net::Message& msg) override;
-  CacheView cacheView(ObjectId obj, SimTime now) const override;
+  void servable(SimTime now, std::vector<Servable>& out) const override;
 
   // ---- test hooks ----
   bool hasValidVolumeLease(VolumeId vol) const;

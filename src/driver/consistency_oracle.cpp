@@ -104,8 +104,8 @@ SimDuration ConsistencyOracle::recoveryBound() const {
 
 bool ConsistencyOracle::callbackExempt(ObjectId obj) const {
   if (config_.algorithm != proto::Algorithm::kCallback) return false;
-  if (taintedObjects_.count(obj) > 0) return true;
-  return taintedServers_.count(serverOf(obj)) > 0;
+  return flagAt(taintedObjects_, raw(obj)) ||
+         flagAt(taintedServers_, raw(serverOf(obj)));
 }
 
 bool ConsistencyOracle::skewExempt(NodeId client, SimTime now) const {
@@ -127,6 +127,28 @@ SimTime ConsistencyOracle::pollServeDeadline(ObjectId obj,
                        options_.skewBound + options_.slack));
 }
 
+ConsistencyOracle::WriteTrack& ConsistencyOracle::writeTrack(ObjectId obj) {
+  if (raw(obj) >= writes_.size()) writes_.resize(raw(obj) + 1);
+  return writes_[raw(obj)];
+}
+
+const ConsistencyOracle::ServerFaults* ConsistencyOracle::crashedServer(
+    NodeId server) const {
+  const std::size_t i = raw(server);
+  return i < serverFaults_.size() && serverFaults_[i].everCrashed
+             ? &serverFaults_[i]
+             : nullptr;
+}
+
+void ConsistencyOracle::setFlagAt(std::vector<char>& flags, std::uint64_t i,
+                                  bool on) {
+  if (i >= flags.size()) {
+    if (!on) return;
+    flags.resize(i + 1, 0);
+  }
+  flags[i] = on ? 1 : 0;
+}
+
 // ---------------------------------------------------------------------
 // hooks
 // ---------------------------------------------------------------------
@@ -135,17 +157,18 @@ void ConsistencyOracle::onRead(NodeId client, ObjectId obj,
                                const proto::ReadResult& result,
                                Version authoritative, SimTime now) {
   if (!result.ok) {
-    record(now, "read FAILED client=" + std::to_string(raw(client)) +
-                    " obj=" + std::to_string(raw(obj)));
+    RingEntry& entry = nextRingEntry(now, RingEntry::Tag::kReadFailed);
+    entry.client = client;
+    entry.obj = obj;
     return;
   }
   const bool stale = result.version != authoritative;
-  record(now, "read client=" + std::to_string(raw(client)) + " obj=" +
-                  std::to_string(raw(obj)) + " v=" +
-                  std::to_string(result.version) +
-                  (stale ? " STALE (server v=" +
-                               std::to_string(authoritative) + ")"
-                         : ""));
+  RingEntry& entry = nextRingEntry(now, RingEntry::Tag::kRead);
+  entry.flag = stale;
+  entry.client = client;
+  entry.obj = obj;
+  entry.version = result.version;
+  entry.serverVersion = authoritative;
   if (!stale) return;
   if (!strong_) {
     // Poll family: staleness inside the validity window is the
@@ -186,22 +209,23 @@ void ConsistencyOracle::onRead(NodeId client, ObjectId obj,
 }
 
 void ConsistencyOracle::onWriteIssued(ObjectId obj, SimTime now) {
-  writes_[obj].outstanding.push_back(now);
-  record(now, "write issued obj=" + std::to_string(raw(obj)));
+  writeTrack(obj).outstanding.push_back(now);
+  nextRingEntry(now, RingEntry::Tag::kWriteIssued).obj = obj;
 }
 
 void ConsistencyOracle::onWriteComplete(ObjectId obj,
                                         const proto::WriteResult& result,
                                         SimTime now) {
-  WriteTrack& track = writes_[obj];
+  WriteTrack& track = writeTrack(obj);
   SimTime issuedAt = now;
   if (!track.outstanding.empty()) {
     issuedAt = track.outstanding.front();
-    track.outstanding.pop_front();
+    track.outstanding.erase(track.outstanding.begin());
   }
-  record(now, "write done obj=" + std::to_string(raw(obj)) + " v=" +
-                  std::to_string(result.newVersion) +
-                  (result.blocked ? " BLOCKED" : ""));
+  RingEntry& entry = nextRingEntry(now, RingEntry::Tag::kWriteDone);
+  entry.flag = result.blocked;
+  entry.obj = obj;
+  entry.version = result.newVersion;
   if (pollBounded() && result.newVersion != kNoVersion) {
     // The previous version is superseded NOW; the poll-window clock on
     // serving it starts here.
@@ -209,9 +233,7 @@ void ConsistencyOracle::onWriteComplete(ObjectId obj,
   }
 
   const NodeId server = serverOf(obj);
-  const ServerFaults* faults = nullptr;
-  auto fIt = serverFaults_.find(server);
-  if (fIt != serverFaults_.end()) faults = &fIt->second;
+  const ServerFaults* faults = crashedServer(server);
 
   // Writes to one object serialize FIFO; a queued write's wait clock
   // effectively restarts when its predecessor commits, so the window we
@@ -224,7 +246,7 @@ void ConsistencyOracle::onWriteComplete(ObjectId obj,
       // The simulator force-completed a write Callback wanted to block
       // on forever: holders may now serve stale data. Expected breakage;
       // taint instead of flagging.
-      taintedObjects_.insert(obj);
+      setFlagAt(taintedObjects_, raw(obj), true);
       record(now, "callback taint obj=" + std::to_string(raw(obj)) +
                       " (blocked write)");
       return;
@@ -270,23 +292,28 @@ void ConsistencyOracle::onFault(const net::FaultEvent& event, SimTime now) {
   record(now, "fault: " + formatFaultEvent(event));
   switch (event.kind) {
     case net::FaultEvent::Kind::kCrash:
-      crashedNow_.insert(event.a);
+      setFlagAt(crashedNow_, raw(event.a), true);
       if (catalog_.isServer(event.a)) {
-        ServerFaults& f = serverFaults_[event.a];
+        if (raw(event.a) >= serverFaults_.size()) {
+          serverFaults_.resize(raw(event.a) + 1);
+        }
+        ServerFaults& f = serverFaults_[raw(event.a)];
         f.everCrashed = true;
         f.lastCrashAt = now;
         f.graceEnd = std::max(f.graceEnd, addSat(now, recoveryBound()));
         if (config_.algorithm == proto::Algorithm::kCallback) {
           // Callback loses its callback lists with no recovery rule:
           // every object on this server may now go stale silently.
-          taintedServers_.insert(event.a);
+          setFlagAt(taintedServers_, raw(event.a), true);
         }
         // A crash kills the server's in-flight and queued writes (some
         // complete as blocked at this very instant, some die without a
         // callback). Drop their issue records: pairing a later write's
         // completion with a pre-crash issue time would inflate its
         // apparent wait into a false delay-bound violation.
-        for (auto& [obj, track] : writes_) {
+        for (std::size_t i = 0; i < writes_.size(); ++i) {
+          const ObjectId obj = makeObjectId(i);
+          WriteTrack& track = writes_[i];
           if (serverOf(obj) != event.a) continue;
           if (track.outstanding.empty()) continue;
           record(now, "write tracking reset obj=" +
@@ -298,7 +325,7 @@ void ConsistencyOracle::onFault(const net::FaultEvent& event, SimTime now) {
       }
       break;
     case net::FaultEvent::Kind::kRecover:
-      crashedNow_.erase(event.a);
+      setFlagAt(crashedNow_, raw(event.a), false);
       break;
     default:
       break;
@@ -311,29 +338,36 @@ void ConsistencyOracle::onFault(const net::FaultEvent& event, SimTime now) {
 
 void ConsistencyOracle::audit(proto::ProtocolInstance& protocol, SimTime now) {
   if (!strong_ && !pollBounded()) return;
+  const auto actualOf = [&protocol, this](ObjectId obj) {
+    return protocol.serverAt(serverOf(obj)).currentVersion(obj);
+  };
   for (std::uint32_t ci = 0; ci < catalog_.numClients(); ++ci) {
     const NodeId clientId = catalog_.clientNode(ci);
-    if (crashedNow_.count(clientId) > 0) continue;  // RAM is gone anyway
-    const proto::ClientNode& client = *protocol.clients[ci];
-    for (const trace::ObjectInfo& info : catalog_.objects()) {
-      const auto view = client.cacheView(info.id, now);
-      if (!view.wouldServe) continue;
-      const Version actual =
-          protocol.serverAt(serverOf(info.id)).currentVersion(info.id);
-      if (view.version == actual) continue;
-      if (!strong_ && now <= pollServeDeadline(info.id, view.version)) {
+    if (flagAt(crashedNow_, raw(clientId))) continue;  // RAM is gone anyway
+    servable_.clear();
+    protocol.clients[ci]->servable(now, servable_);
+    // Only mismatches go on to the exemptions, in object-id order: the
+    // ring lines and reports they produce are output.
+    std::erase_if(servable_, [&](const proto::ClientNode::Servable& s) {
+      return s.version == actualOf(s.obj);
+    });
+    std::sort(servable_.begin(), servable_.end(),
+              [](const proto::ClientNode::Servable& a,
+                 const proto::ClientNode::Servable& b) { return a.obj < b.obj; });
+    for (const auto& [obj, version] : servable_) {
+      if (!strong_ && now <= pollServeDeadline(obj, version)) {
         continue;  // stale but inside the Poll window: contractual
       }
-      if (callbackExempt(info.id)) continue;
+      if (callbackExempt(obj)) continue;
       if (skewExempt(clientId, now)) continue;
-      if (!auditFlagged_.insert(pairKey(clientId, info.id)).second) continue;
+      if (!auditFlagged_.insert(pairKey(clientId, obj)).second) continue;
       reportViolation(
           ViolationKind::kCacheInconsistency, now,
-          "client " + std::to_string(raw(clientId)) +
-              " would serve obj " + std::to_string(raw(info.id)) +
-              " at version " + std::to_string(view.version) +
+          "client " + std::to_string(raw(clientId)) + " would serve obj " +
+              std::to_string(raw(obj)) + " at version " +
+              std::to_string(version) +
               " under valid leases but the server is at " +
-              std::to_string(actual));
+              std::to_string(actualOf(obj)));
     }
   }
 }
@@ -341,11 +375,12 @@ void ConsistencyOracle::audit(proto::ProtocolInstance& protocol, SimTime now) {
 void ConsistencyOracle::finalAudit(proto::ProtocolInstance& protocol,
                                    SimTime now) {
   audit(protocol, now);
-  for (const auto& [obj, track] : writes_) {
+  for (std::size_t i = 0; i < writes_.size(); ++i) {
+    const ObjectId obj = makeObjectId(i);
+    const WriteTrack& track = writes_[i];
     if (track.outstanding.empty()) continue;
     const NodeId server = serverOf(obj);
-    auto fIt = serverFaults_.find(server);
-    if (fIt != serverFaults_.end() && fIt->second.everCrashed) {
+    if (crashedServer(server) != nullptr) {
       // Crashes kill in-flight and queued writes; that is modeled
       // behavior, not a bug.
       record(now, "writes lost to crash obj=" + std::to_string(raw(obj)) +
@@ -364,10 +399,44 @@ void ConsistencyOracle::finalAudit(proto::ProtocolInstance& protocol,
 // reporting
 // ---------------------------------------------------------------------
 
+ConsistencyOracle::RingEntry& ConsistencyOracle::nextRingEntry(
+    SimTime at, RingEntry::Tag tag) {
+  RingEntry& entry = ring_[ringNext_];
+  if (++ringNext_ == ring_.size()) {
+    ringNext_ = 0;
+    ringWrapped_ = true;
+  }
+  entry.at = at;
+  entry.tag = tag;
+  return entry;
+}
+
 void ConsistencyOracle::record(SimTime at, std::string text) {
-  ring_[ringNext_] = formatSimTime(at) + " " + std::move(text);
-  ringNext_ = (ringNext_ + 1) % ring_.size();
-  if (ringNext_ == 0) ringWrapped_ = true;
+  nextRingEntry(at, RingEntry::Tag::kText).text = std::move(text);
+}
+
+std::string ConsistencyOracle::formatRingEntry(const RingEntry& entry) {
+  const std::string obj = std::to_string(raw(entry.obj));
+  switch (entry.tag) {
+    case RingEntry::Tag::kText:
+      return entry.text;
+    case RingEntry::Tag::kRead:
+      return "read client=" + std::to_string(raw(entry.client)) +
+             " obj=" + obj + " v=" + std::to_string(entry.version) +
+             (entry.flag ? " STALE (server v=" +
+                               std::to_string(entry.serverVersion) + ")"
+                         : "");
+    case RingEntry::Tag::kReadFailed:
+      return "read FAILED client=" + std::to_string(raw(entry.client)) +
+             " obj=" + obj;
+    case RingEntry::Tag::kWriteIssued:
+      return "write issued obj=" + obj;
+    case RingEntry::Tag::kWriteDone:
+      return "write done obj=" + obj + " v=" +
+             std::to_string(entry.version) +
+             (entry.flag ? " BLOCKED" : "");
+  }
+  return "?";
 }
 
 std::string ConsistencyOracle::dumpRing() const {
@@ -375,8 +444,11 @@ std::string ConsistencyOracle::dumpRing() const {
   const std::size_t n = ringWrapped_ ? ring_.size() : ringNext_;
   const std::size_t start = ringWrapped_ ? ringNext_ : 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const RingEntry& entry = ring_[(start + i) % ring_.size()];
     out += "\n    ";
-    out += ring_[(start + i) % ring_.size()];
+    out += formatSimTime(entry.at);
+    out += " ";
+    out += formatRingEntry(entry);
   }
   return out;
 }

@@ -51,7 +51,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -152,7 +151,9 @@ class ConsistencyOracle {
 
  private:
   struct WriteTrack {
-    std::deque<SimTime> outstanding;  // issue times, FIFO
+    /// Issue times, FIFO (writes to one object serialize; this holds
+    /// the few in flight, so popping the front is cheap).
+    std::vector<SimTime> outstanding;
     SimTime lastCompletion = kSimTimeMin;
   };
   struct ServerFaults {
@@ -161,6 +162,26 @@ class ConsistencyOracle {
     /// Latest instant by which post-crash recovery waits must be over:
     /// max over crashes of (crashAt + recovery bound).
     SimTime graceEnd = kSimTimeMin;
+  };
+  /// One ring record. The per-event kinds (reads and writes) are a few
+  /// plain stores and are formatted only when the ring is dumped; rare
+  /// records (faults, taints, exemptions, violations) keep their text.
+  struct RingEntry {
+    enum class Tag : std::uint8_t {
+      kText,
+      kRead,
+      kReadFailed,
+      kWriteIssued,
+      kWriteDone,
+    };
+    SimTime at = 0;
+    Tag tag = Tag::kText;
+    bool flag = false;  // kRead: stale; kWriteDone: blocked
+    NodeId client{};
+    ObjectId obj{};
+    Version version = kNoVersion;
+    Version serverVersion = kNoVersion;  // kRead only
+    std::string text;                    // kText only
   };
 
   /// Longest a write may legitimately wait before the msgTimeout floor
@@ -189,10 +210,23 @@ class ConsistencyOracle {
                                        : info.server;
   }
 
+  /// Claim the next ring slot for a record made at `at`.
+  RingEntry& nextRingEntry(SimTime at, RingEntry::Tag tag);
   void record(SimTime at, std::string text);
   void reportViolation(ViolationKind kind, SimTime now,
                        const std::string& detail);
   std::string dumpRing() const;
+  static std::string formatRingEntry(const RingEntry& entry);
+
+  WriteTrack& writeTrack(ObjectId obj);
+  /// `server`'s fault record, or null when it never crashed.
+  const ServerFaults* crashedServer(NodeId server) const;
+  /// Flag tables by raw id (crashed nodes, Callback taints), grown on
+  /// first set; an id past the end is unflagged.
+  static bool flagAt(const std::vector<char>& flags, std::uint64_t i) {
+    return i < flags.size() && flags[i] != 0;
+  }
+  static void setFlagAt(std::vector<char>& flags, std::uint64_t i, bool on);
 
   const trace::Catalog& catalog_;
   const proto::ProtocolConfig config_;
@@ -203,23 +237,27 @@ class ConsistencyOracle {
   /// Poll Each Read, t for Poll, the adaptiveMaxTtl clamp for Adaptive.
   const SimDuration pollWindow_;
 
-  std::unordered_map<ObjectId, WriteTrack> writes_;
+  // Per-object and per-node state, dense by raw id so that every walk
+  // over it runs in id order (its ring lines and reports are output).
+  std::vector<WriteTrack> writes_;           // by raw(ObjectId)
+  std::vector<ServerFaults> serverFaults_;   // by raw(NodeId)
+  std::vector<char> crashedNow_;             // by raw(NodeId)
   /// When each (obj, version) was superseded by the next write commit;
   /// anchors the Poll staleness bound. Keyed (raw(obj) << 32) | version.
   std::unordered_map<std::uint64_t, SimTime> supersededAt_;
-  std::unordered_map<NodeId, ServerFaults> serverFaults_;
-  std::unordered_set<NodeId> crashedNow_;
 
   // Callback expected-breakage taints.
-  std::unordered_set<ObjectId> taintedObjects_;
-  std::unordered_set<NodeId> taintedServers_;
+  std::vector<char> taintedObjects_;  // by raw(ObjectId)
+  std::vector<char> taintedServers_;  // by raw(NodeId)
 
   /// (client, obj) pairs already flagged by the audit, so a persistent
   /// mismatch counts once instead of once per audit tick.
   std::unordered_set<std::uint64_t> auditFlagged_;
+  /// Audit scratch: one client's servable entries, reused across calls.
+  std::vector<proto::ClientNode::Servable> servable_;
 
   // Ring buffer of recent events.
-  std::vector<std::string> ring_;
+  std::vector<RingEntry> ring_;
   std::size_t ringNext_ = 0;
   bool ringWrapped_ = false;
 

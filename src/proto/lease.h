@@ -113,10 +113,11 @@ class LeaseClient final : public ClientNode {
   void read(ObjectId obj, ReadCallback cb) override;
   void dropCache() override { cache_.clear(); }
   void deliver(const net::Message& msg) override;
-  CacheView cacheView(ObjectId obj, SimTime now) const override {
-    const CacheEntry* entry = cache_.find(obj);
-    if (entry == nullptr || !entry->valid(leaseGuard(now))) return {};
-    return {true, entry->version};
+  void servable(SimTime now, std::vector<Servable>& out) const override {
+    const SimTime guard = leaseGuard(now);
+    cache_.forEach([&](ObjectId obj, const CacheEntry& entry) {
+      if (entry.valid(guard)) out.push_back({obj, entry.version});
+    });
   }
 
   const ClientCache& cache() const { return cache_; }

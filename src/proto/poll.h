@@ -52,10 +52,10 @@ class PollClient final : public ClientNode {
   void read(ObjectId obj, ReadCallback cb) override;
   void dropCache() override { cache_.clear(); }
   void deliver(const net::Message& msg) override;
-  CacheView cacheView(ObjectId obj, SimTime now) const override {
-    const CacheEntry* entry = cache_.find(obj);
-    if (entry == nullptr || !entry->valid(now)) return {};
-    return {true, entry->version};
+  void servable(SimTime now, std::vector<Servable>& out) const override {
+    cache_.forEach([&](ObjectId obj, const CacheEntry& entry) {
+      if (entry.valid(now)) out.push_back({obj, entry.version});
+    });
   }
 
  private:

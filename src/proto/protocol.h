@@ -309,21 +309,17 @@ class ClientNode : public net::MessageSink {
   /// lets the departed client's leases expire.
   virtual void retire() { dropCache(); }
 
-  /// What a read of `obj` issued at `now` would return without any
-  /// messages: {true, version} when the client would serve it straight
-  /// from cache, {false, kNoVersion} otherwise. Pure inspection -- must
-  /// not touch LRU state or issue requests. The ConsistencyOracle
-  /// audits this against the server's authoritative version; the
-  /// default ("never serves locally") opts a client type out of audits.
-  struct CacheView {
-    bool wouldServe = false;
-    Version version = kNoVersion;
+  /// One cached copy a read would serve without any messages.
+  struct Servable {
+    ObjectId obj;
+    Version version;
   };
-  virtual CacheView cacheView(ObjectId obj, SimTime now) const {
-    (void)obj;
-    (void)now;
-    return {};
-  }
+  /// Append every (object, version) a read issued at `now` would serve
+  /// straight from cache, in no particular order. Pure inspection --
+  /// must not touch LRU state or issue requests. The ConsistencyOracle
+  /// audits these against the servers' authoritative versions, so each
+  /// override walks only the entries its cache holds.
+  virtual void servable(SimTime now, std::vector<Servable>& out) const = 0;
 
  protected:
   /// This client's own reading of global instant `globalNow` (identity

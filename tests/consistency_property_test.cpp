@@ -359,12 +359,25 @@ INSTANTIATE_TEST_SUITE_P(PlanChaos, OraclePlanChaosTest,
 // The suite above would be vacuous if the oracle could never fire:
 // fault-inject clients that ACK invalidations without applying them
 // (ProtocolConfig::faultInjectIgnoreInvalidations) and the oracle must
-// catch the resulting stale state -- even with NO network faults.
+// catch the resulting stale state -- even with NO network faults. The
+// counts are exact per kind: stale reads alone would make the total
+// positive, so the cache-inconsistency count is what proves the audit
+// visits every entry a client would serve.
 TEST_F(OraclePlanChaosTest, BrokenInvalidationIsCaught) {
-  for (proto::Algorithm algorithm :
-       {proto::Algorithm::kLease, proto::Algorithm::kVolumeLease}) {
+  const struct {
+    proto::Algorithm algorithm;
+    std::int64_t staleReads;
+    std::int64_t cacheInconsistencies;
+  } cases[] = {
+      {proto::Algorithm::kLease, 1029, 47},
+      {proto::Algorithm::kVolumeLease, 1029, 47},
+      {proto::Algorithm::kVolumeDelayedInval, 1029, 47},
+      {proto::Algorithm::kCallback, 1663, 48},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(proto::algorithmName(c.algorithm));
     const driver::Workload workload = makeWorkload();
-    proto::ProtocolConfig config = makeConfig(algorithm);
+    proto::ProtocolConfig config = makeConfig(c.algorithm);
     config.faultInjectIgnoreInvalidations = true;
     driver::SimOptions options;
     options.networkLatency = msec(20);
@@ -372,9 +385,14 @@ TEST_F(OraclePlanChaosTest, BrokenInvalidationIsCaught) {
     options.oracleAuditPeriod = sec(10);
     driver::Simulation sim(workload.catalog, config, options);
     stats::Metrics& m = sim.run(workload.events);
-    EXPECT_GT(m.oracleViolations(), 0)
-        << proto::algorithmName(algorithm)
-        << ": ack-without-apply clients must trip the oracle";
+    ASSERT_NE(sim.oracle(), nullptr);
+    const driver::ConsistencyOracle& oracle = *sim.oracle();
+    EXPECT_EQ(oracle.violations(driver::ViolationKind::kStaleRead),
+              c.staleReads);
+    EXPECT_EQ(oracle.violations(driver::ViolationKind::kCacheInconsistency),
+              c.cacheInconsistencies);
+    EXPECT_EQ(m.oracleViolations(), c.staleReads + c.cacheInconsistencies)
+        << oracle.summary();
   }
 }
 

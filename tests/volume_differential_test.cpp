@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -240,6 +241,10 @@ struct DiffCase {
   SimDuration clockEpsilon = 0;
   SimDuration inactiveDiscard = kNever;
 };
+
+// gtest would otherwise print a case as its raw bytes, which include
+// the name pointer, so the test ids would change on every run.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
 
 class VolumeDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 

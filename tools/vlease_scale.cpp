@@ -23,6 +23,7 @@
 //   $ vlease_scale                                    # smoke config
 //   $ vlease_scale --clients 1000000 --events 100000000   # the big run
 //   $ vlease_scale --zipf 0.8 --flash-crowd 2000 --track-load
+//   $ vlease_scale --clients 50000 --events 5000000 --oracle  # 0 violations
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -102,6 +103,11 @@ int main(int argc, char** argv) {
   flags.addInt("diurnal-period-sec", 3600, "diurnal period, sim seconds");
   flags.addBool("track-load", false,
                 "per-second server load series (flash-window reporting)");
+  flags.addBool("oracle", false,
+                "run the online consistency oracle (oracle_violations)");
+  flags.addBool("break-invalidation", false,
+                "NEGATIVE CONTROL: clients ack invalidations without "
+                "applying them (the oracle must report violations)");
   flags.addBool("progress", false, "print progress ticks to stderr");
   if (!flags.parse(argc, argv)) return 1;
 
@@ -163,11 +169,15 @@ int main(int argc, char** argv) {
   config.readTimeout = sec(15);
   config.piggybackVolumeLease = true;  // one round trip per cold read
   config.leaseSweepPeriod = msec(flags.getInt("sweep-ms"));
+  config.faultInjectIgnoreInvalidations = flags.getBool("break-invalidation");
 
   driver::SimOptions sim;
   sim.networkLatency = msec(flags.getInt("latency-ms"));
-  // No oracle: this is a throughput/footprint run. The load series is
+  // The oracle is opt-in (--oracle): by default this is a throughput/
+  // footprint run. Its audit cost grows with the entries the caches
+  // hold, so it can check a full-population run. The load series is
   // opt-in (--track-load) for the flash-crowd window reporting.
+  sim.enableOracle = flags.getBool("oracle");
   sim.trackServerLoad = trackLoad;
   if (migrate) {
     driver::MigrationEvent m;
@@ -245,6 +255,7 @@ int main(int argc, char** argv) {
       "  \"cache_local_reads\": %lld,\n"
       "  \"writes\": %lld,\n"
       "  \"failed_reads\": %lld,\n"
+      "  \"oracle_violations\": %lld,\n"
       "  \"wall_seconds\": %.3f,\n"
       "  \"events_per_second\": %.0f,\n"
       "  \"fired_per_second\": %.0f,\n"
@@ -265,7 +276,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(m.reads()),
       static_cast<long long>(m.cacheLocalReads()),
       static_cast<long long>(m.writes()),
-      static_cast<long long>(m.failedReads()), wall,
+      static_cast<long long>(m.failedReads()),
+      static_cast<long long>(m.oracleViolations()), wall,
       static_cast<double>(numEvents) / wall,
       static_cast<double>(simulation.scheduler().firedCount()) / wall,
       static_cast<double>(peakRssKb()) / 1024.0);
