@@ -200,11 +200,9 @@ fi
 if [[ "$SUITE" == "rt" ]]; then
   # Real-socket throughput: tools/vlease_rt --bench-loopback ping-pongs
   # framed protocol messages between two TcpTransports over localhost
-  # and prints one JSON object per run. Two tracked points: the
-  # single-threaded loop ("RtLoopback") and the sharded echo side with
-  # four protocol shards ("RtLoopback/threads4"). Best-of-reps
-  # messages_per_second feeds the same baseline/current/--check
-  # machinery.
+  # and prints one JSON object per run, all named "RtLoopback": one
+  # event-loop thread drives both ends. Best-of-reps messages_per_second
+  # feeds the same baseline/current/--check machinery.
   PATH_JSON=BENCH_rt.json
   cmake -B build -S . >/dev/null
   cmake --build build -j --target vlrt >/dev/null
@@ -213,7 +211,6 @@ if [[ "$SUITE" == "rt" ]]; then
   trap 'rm -f "$GATE_RAW"' EXIT
   for ((r = 0; r < REPS; ++r)); do
     build/tools/vlease_rt --bench-loopback
-    build/tools/vlease_rt --bench-loopback --threads 4
   done >"$GATE_RAW"
 
   SECTION="$SECTION" LABEL="$LABEL" GATE_RAW="$GATE_RAW" \
@@ -222,11 +219,7 @@ import json, os, sys
 
 runs = [json.loads(line)
         for line in open(os.environ["GATE_RAW"]) if line.strip()]
-best = {}
-for r in runs:
-    threads = r.get("threads", 1)
-    name = "RtLoopback" if threads == 1 else f"RtLoopback/threads{threads}"
-    best[name] = max(best.get(name, 0.0), r["messages_per_second"])
+best = {"RtLoopback": max(r["messages_per_second"] for r in runs)}
 
 path = os.environ["PATH_JSON"]
 doc = {}

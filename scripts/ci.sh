@@ -6,9 +6,9 @@
 # Set VLEASE_SANITIZE=ON in the environment to build the whole tree
 # under AddressSanitizer + UBSan. Set VLEASE_TSAN=ON to run the
 # ThreadSanitizer job instead: a separate build tree with
-# -fsanitize=thread and the concurrency-heavy suites (the SPSC queue
-# hammer, the sharded server, cross-thread driver post/stop, the real
-# TCP deployment) -- it builds and exits before the timing-sensitive
+# -fsanitize=thread and the suites that cross threads (the event loop,
+# cross-thread driver post/stop, the real TCP deployment, the sweep
+# thread pool) -- it builds and exits before the timing-sensitive
 # chaos/bench stages, whose instrumented runs would only flake.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,10 +16,7 @@ cd "$(dirname "$0")/.."
 if [[ "${VLEASE_TSAN:-OFF}" == "ON" ]]; then
   cmake -B build-tsan -S . -DVLEASE_TSAN=ON
   cmake --build build-tsan -j --target \
-    spsc_queue_test rt_sharded_test event_loop_test rt_chaos_test \
-    tcp_transport_test thread_pool_test
-  build-tsan/tests/spsc_queue_test
-  build-tsan/tests/rt_sharded_test
+    event_loop_test rt_chaos_test tcp_transport_test thread_pool_test
   build-tsan/tests/event_loop_test
   build-tsan/tests/rt_chaos_test
   build-tsan/tests/tcp_transport_test
@@ -70,23 +67,11 @@ fi
 # pre-merge gate via `vlease_rt --seeds 8 --intensity low|medium`.
 build/tools/vlease_rt --seeds 2 --intensity low --duration-ms 4000
 
-# The same parity smoke against the THREADED server: epoll I/O thread +
-# two protocol shards (volume-hashed), SPSC queues both ways. Shard
-# timers, clock-skew mirroring, and the coalesced writev egress all sit
-# on the audited path.
-build/tools/vlease_rt --seeds 2 --intensity low --duration-ms 4000 \
-  --threads 2
-
 # Deterministic crashed-server recovery: SIGKILL the server mid-run,
 # cold-restart it from its durable log, and require no write to commit
 # before one volume-lease term + epsilon of real wall-clock silence and
 # no stale read across the reboot.
 build/tools/vlease_rt --seeds 1 --scenario recovery --duration-ms 4000
-
-# Recovery with the sharded server: the cold-restart silence rule must
-# hold when the restored epoch/version state fans out across shards.
-build/tools/vlease_rt --seeds 1 --scenario recovery --duration-ms 4000 \
-  --threads 2
 
 # Negative control: with clients acking invalidations without applying
 # them, the parity check MUST fail -- otherwise the gate is vacuous.

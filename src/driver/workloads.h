@@ -47,9 +47,8 @@ struct ChaosWorkloadOptions {
   std::uint32_t numServers = 2;
   std::uint32_t objectsPerServer = 6;
   /// Volumes per server; objects spread round-robin across a server's
-  /// volumes, so >= 2 makes traffic exercise cross-volume dispatch
-  /// (per-thread shards, per-volume epochs) instead of keying every
-  /// message to each server's volume 0. Default 1 keeps the original
+  /// volumes, so >= 2 makes traffic exercise per-volume state and
+  /// epochs instead of keying every message to each server's volume 0. Default 1 keeps the original
   /// single-volume catalogs (and their goldens) bit-identical.
   std::uint32_t volumesPerServer = 1;
   SimDuration duration = minutes(30);

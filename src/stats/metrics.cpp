@@ -93,64 +93,6 @@ std::vector<NodeId> Metrics::nodesByTraffic() const {
   return nodes;
 }
 
-void Metrics::mergeFrom(const Metrics& other) {
-  totalMessages_ += other.totalMessages_;
-  totalBytes_ += other.totalBytes_;
-  totalCpu_ += other.totalCpu_;
-  droppedMessages_ += other.droppedMessages_;
-  for (std::size_t i = 0; i < kMaxMsgTypes; ++i) byType_[i] += other.byType_[i];
-
-  if (other.perNode_.size() > perNode_.size()) {
-    perNode_.resize(other.perNode_.size());
-  }
-  for (std::size_t i = 0; i < other.perNode_.size(); ++i) {
-    const NodeCounters& src = other.perNode_[i];
-    NodeCounters& dst = perNode_[i];
-    dst.sent += src.sent;
-    dst.received += src.received;
-    dst.bytesSent += src.bytesSent;
-    dst.bytesReceived += src.bytesReceived;
-    dst.cpuUnits += src.cpuUnits;
-  }
-
-  for (std::size_t i = 0; i < other.trackLoad_.size(); ++i) {
-    if (other.trackLoad_[i] != 0) {
-      trackLoad(makeNodeId(static_cast<std::uint32_t>(i)));
-    }
-  }
-  for (std::size_t i = 0; i < other.load_.size(); ++i) {
-    if (i >= other.hasLoad_.size() || other.hasLoad_[i] == 0) continue;
-    loadMut(makeNodeId(static_cast<std::uint32_t>(i))).merge(other.load_[i]);
-  }
-
-  if (other.stateIntegral_.size() > stateIntegral_.size()) {
-    stateIntegral_.resize(other.stateIntegral_.size(), 0.0);
-  }
-  for (std::size_t i = 0; i < other.stateIntegral_.size(); ++i) {
-    stateIntegral_[i] += other.stateIntegral_[i];
-  }
-
-  reads_ += other.reads_;
-  cacheLocalReads_ += other.cacheLocalReads_;
-  staleReads_ += other.staleReads_;
-  failedReads_ += other.failedReads_;
-
-  writes_ += other.writes_;
-  delayedWrites_ += other.delayedWrites_;
-  blockedWrites_ += other.blockedWrites_;
-  writeDelay_.merge(other.writeDelay_);
-
-  oracleViolations_ += other.oracleViolations_;
-
-  transportRetries_ += other.transportRetries_;
-  transportReconnects_ += other.transportReconnects_;
-  transportFrameAborts_ += other.transportFrameAborts_;
-  transportFramesRejected_ += other.transportFramesRejected_;
-  transportConnectRefused_ += other.transportConnectRefused_;
-
-  horizon_ = std::max(horizon_, other.horizon_);
-}
-
 void accrueRecord(Metrics& metrics, NodeId server, SimTime& lastAccounted,
                   SimTime expiry, SimTime now, std::int64_t bytes) {
   // A record's expiry can predate its last accounting point (a renewal

@@ -118,13 +118,6 @@ class Metrics {
     return transportConnectRefused_;
   }
 
-  /// Fold another Metrics into this one (sharded serving: each protocol
-  /// shard accumulates into its own instance with no synchronization;
-  /// the report path merges them into one run-wide view). Counters and
-  /// integrals add; per-node/per-type tables add elementwise; load
-  /// series merge bucketwise; the horizon takes the max.
-  void mergeFrom(const Metrics& other);
-
   /// Set once the run finishes; state averages divide by this.
   void setHorizon(SimTime end) { horizon_ = end; }
 

@@ -35,10 +35,6 @@ std::vector<std::int64_t> SparseCounter::cumulativeAtLeast() const {
   return atLeast;
 }
 
-void SparseCounter::merge(const SparseCounter& other) {
-  for (const auto& [bucket, n] : other.counts_) counts_[bucket] += n;
-}
-
 void Summary::add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;
@@ -48,18 +44,6 @@ void Summary::add(double x) {
   }
   ++count_;
   sum_ += x;
-}
-
-void Summary::merge(const Summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 }  // namespace vlease

@@ -62,7 +62,6 @@ class SparseCounter {
   /// result[x-1] = #buckets with value >= x.
   std::vector<std::int64_t> cumulativeAtLeast() const;
 
-  void merge(const SparseCounter& other);
   void clear() {
     counts_.clear();
     hot_ = nullptr;
@@ -83,8 +82,6 @@ class Summary {
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
   double min() const { return count_ ? min_ : 0; }
   double max() const { return count_ ? max_ : 0; }
-
-  void merge(const Summary& other);
 
  private:
   std::int64_t count_ = 0;

@@ -206,36 +206,5 @@ TEST(MetricsTest, AccrueRecordClampsExpiryBeforeLastAccounted) {
   EXPECT_EQ(last, sec(15));
 }
 
-TEST(MetricsTest, MergeFromSumsCountersAndPerNodeRows) {
-  // The sharded server's per-thread Metrics fold into one view: plain
-  // counters add, per-node rows add elementwise (resizing as needed),
-  // and the horizon takes the max.
-  Metrics a;
-  Metrics b;
-  a.onMessage(kA, kB, 0, 100, sec(1), true);
-  b.onMessage(kB, kA, 1, 50, sec(2), true);
-  b.onMessage(kA, kC, 0, 25, sec(3), false);  // dropped
-  a.onTransportRetry();
-  b.onTransportRetry();
-  b.onTransportReconnect();
-  b.onTransportConnectRefused();
-
-  a.mergeFrom(b);
-
-  EXPECT_EQ(a.totalMessages(), 3);
-  EXPECT_EQ(a.totalBytes(), 175);
-  EXPECT_EQ(a.droppedMessages(), 1);
-  EXPECT_EQ(a.messagesOfType(0), 2);
-  EXPECT_EQ(a.messagesOfType(1), 1);
-  EXPECT_EQ(a.node(kA).sent, 2);
-  EXPECT_EQ(a.node(kA).received, 1);
-  EXPECT_EQ(a.node(kB).sent, 1);
-  EXPECT_EQ(a.node(kB).received, 1);
-  EXPECT_EQ(a.node(kC).received, 0);  // the drop never arrived
-  EXPECT_EQ(a.transportRetries(), 2);
-  EXPECT_EQ(a.transportReconnects(), 1);
-  EXPECT_EQ(a.transportConnectRefused(), 1);
-}
-
 }  // namespace
 }  // namespace vlease::stats

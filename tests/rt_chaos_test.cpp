@@ -598,6 +598,36 @@ T getWithin(std::future<T>& future, int seconds = 20) {
   return future.get();
 }
 
+/// Delegates to a FaultShim but guarantees the first sizable frame is
+/// truncated mid-write. Server replies are sent from the loop thread,
+/// so they leave through the coalesced writev path and the kill hits a
+/// frame sitting in the pending queue, not a lucky loss roll.
+class TruncateFirstThenShim final : public FaultHook {
+ public:
+  explicit TruncateFirstThenShim(FaultShim& inner) : inner_(inner) {}
+  SendFault onSend(NodeId from, NodeId to, std::size_t frameBytes) override {
+    if (!truncated_ && frameBytes > 8) {
+      truncated_ = true;
+      SendFault fault;
+      fault.kind = SendFault::Kind::kTruncate;
+      fault.truncateAt = frameBytes / 2;
+      fault.halfClose = true;
+      return fault;
+    }
+    return inner_.onSend(from, to, frameBytes);
+  }
+  bool dropInbound(NodeId from, NodeId to) override {
+    return inner_.dropInbound(from, to);
+  }
+  /// True once the forced truncation was handed to the transport. Read
+  /// after the loop thread is joined.
+  bool forced() const { return truncated_; }
+
+ private:
+  FaultShim& inner_;
+  bool truncated_ = false;  // loop thread only
+};
+
 TEST(LoopbackChaos, ProtocolSurvivesLossWindowAndReadsFreshAfterHeal) {
   trace::Catalog catalog(1, 1);
   const VolumeId vol = catalog.addVolume(catalog.serverNode(0));
@@ -632,7 +662,8 @@ TEST(LoopbackChaos, ProtocolSurvivesLossWindowAndReadsFreshAfterHeal) {
 
   FaultShim serverShim(plan, serverId, &serverDriver, /*seed=*/11);
   FaultShim clientShim(plan, clientId, &clientDriver, /*seed=*/22);
-  serverTransport.setFaultHook(&serverShim);
+  TruncateFirstThenShim serverHook(serverShim);
+  serverTransport.setFaultHook(&serverHook);
   clientTransport.setFaultHook(&clientShim);
   serverDriver.setStepHook([&](SimTime now) { serverShim.advance(now); });
   clientDriver.setStepHook([&](SimTime now) { clientShim.advance(now); });
@@ -707,6 +738,11 @@ TEST(LoopbackChaos, ProtocolSurvivesLossWindowAndReadsFreshAfterHeal) {
                 clientTransport.injectedDrops() +
                 clientTransport.injectedTruncations(),
             0);
+  // The server's first reply is cut mid-writev, whatever the loss rolls:
+  // the seeded rolls alone truncate a single server frame, so coverage
+  // of that path must not rest on them.
+  EXPECT_TRUE(serverHook.forced());
+  EXPECT_GE(serverTransport.injectedTruncations(), 1);
 }
 
 }  // namespace

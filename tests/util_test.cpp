@@ -86,16 +86,6 @@ TEST(SparseCounterTest, CumulativeEmpty) {
   EXPECT_TRUE(c.cumulativeAtLeast().empty());
 }
 
-TEST(SparseCounterTest, Merge) {
-  SparseCounter a, b;
-  a.add(1, 2);
-  b.add(1, 3);
-  b.add(9, 1);
-  a.merge(b);
-  EXPECT_EQ(a.at(1), 5);
-  EXPECT_EQ(a.at(9), 1);
-}
-
 // ---- Summary ----
 
 TEST(SummaryTest, Basics) {
@@ -110,22 +100,6 @@ TEST(SummaryTest, Basics) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 15.0);
-}
-
-TEST(SummaryTest, Merge) {
-  Summary a, b;
-  a.add(1.0);
-  b.add(3.0);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 5.0);
-  Summary empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 3);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 3);
 }
 
 // ---- Flags ----

@@ -40,10 +40,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/volume_client.h"
@@ -55,7 +53,6 @@
 #include "rt/fault_injector.h"
 #include "rt/parity.h"
 #include "rt/real_time.h"
-#include "rt/sharded.h"
 #include "rt/tcp_transport.h"
 #include "util/flags.h"
 
@@ -67,22 +64,6 @@ std::int64_t steadyNowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Shard-routing key: every payload is keyed by a volume, directly or
-/// through its object (the catalog maps objects to volumes). This is
-/// what makes shard-per-thread serving mechanical: no message ever
-/// touches two volumes.
-VolumeId volumeKeyOf(const net::Payload& p, const trace::Catalog& catalog) {
-  return std::visit(
-      [&catalog](const auto& m) -> VolumeId {
-        if constexpr (requires { m.vol; }) {
-          return m.vol;
-        } else {
-          return catalog.object(m.obj).volume;
-        }
-      },
-      p);
 }
 
 // ---------------------------------------------------------------------
@@ -122,9 +103,8 @@ HarnessRun buildRun(std::uint64_t seed, const Flags& flags) {
   HarnessRun run(driver::buildChaosWorkload(w));
 
   // Regression guard: with a multi-volume server the generated traffic
-  // must actually reach >= 2 volumes, or the sharded dispatch and the
-  // per-volume epoch machinery run untested (the old harness keyed every
-  // message to volume 0).
+  // must actually reach >= 2 volumes, or the per-volume epoch machinery
+  // runs untested (the old harness keyed every message to volume 0).
   if (w.volumesPerServer >= 2 && w.objectsPerServer >= 2) {
     std::vector<std::uint8_t> seen(run.workload.catalog.numVolumes(), 0);
     std::size_t distinct = 0;
@@ -284,9 +264,6 @@ int workerMain(const Flags& flags) {
   const SimTime stopAt = run.duration + run.drain;
   int exitCode = 0;
 
-  const int threads =
-      std::max<int>(1, static_cast<int>(flags.getInt("threads")));
-
   if (nodeIdx < numServers) {
     const auto mode =
         run.config.algorithm == proto::Algorithm::kVolumeDelayedInval
@@ -298,9 +275,7 @@ int workerMain(const Flags& flags) {
     // covers one in-flight bump the crash may have lost) and present
     // a bumped epoch so reconnecting clients run MUST_RENEW_ALL. The
     // recovery rule runs on real wall clock: silent for one volume-
-    // lease term + epsilon from THIS process's start. Computed once; a
-    // sharded server hands the same snapshot to every shard (each only
-    // ever touches the volumes routed to it).
+    // lease term + epsilon from THIS process's start.
     std::vector<std::pair<ObjectId, Version>> versions;
     std::vector<std::pair<VolumeId, Epoch>> epochs;
     SimTime recoverUntil = 0;
@@ -337,114 +312,41 @@ int workerMain(const Flags& flags) {
                             run.config.volumeTimeout + run.config.clockEpsilon);
     }
 
-    using AppendFn = std::function<void(const std::string&)>;
-    // appendFn rides into scheduled closures by value; it must stay a
-    // non-const copy so the closures keep their nothrow move.
-    const auto scheduleWrites = [&](sim::Scheduler& sched,
-                                    core::VolumeServer& server,
-                                    AppendFn appendFn, int shardIndex,
-                                    int numShards) {
-      for (const trace::TraceEvent& ev : run.workload.events) {
-        if (ev.kind != trace::EventKind::kWrite) continue;
-        if (catalog.object(ev.obj).server != self) continue;
-        if (numShards > 1 &&
-            raw(catalog.object(ev.obj).volume) %
-                    static_cast<std::uint64_t>(numShards) !=
-                static_cast<std::uint64_t>(shardIndex)) {
-          continue;
-        }
-        if (ev.at <= resumeFrom) continue;
-        const ObjectId obj = ev.obj;
-        sched.scheduleAt(ev.at, [&sched, &server, appendFn, obj]() {
-          const SimTime issuedAt = sched.now();
-          appendFn(rt::formatWriteIssueLine(obj, issuedAt));
-          server.write(obj, [&sched, appendFn, obj,
-                             issuedAt](const proto::WriteResult& r) {
-            rt::WriteRecord w;
-            w.obj = obj;
-            w.version = r.newVersion;
-            w.issuedAt = issuedAt;
-            w.completedAt = sched.now();
-            w.delay = r.delay;
-            appendFn(rt::formatWriteLine(w));
-          });
-        });
-      }
-    };
-
-    if (threads > 1) {
-      // Shard threads interleave on the log stream; serialize appends.
-      std::mutex logMutex;
-      const AppendFn appendLocked = [&append,
-                                     &logMutex](const std::string& line) {
-        std::lock_guard<std::mutex> lock(logMutex);
-        append(line);
-      };
-
-      // VolumeServer keeps a reference to its ProtocolContext, so each
-      // shard app owns the context by value, on the shard thread.
-      struct ServerShard final : rt::ShardApp {
-        proto::ProtocolContext ctx;
-        core::VolumeServer server;
-        ServerShard(const proto::ProtocolContext& c, NodeId id,
-                    const proto::ProtocolConfig& cfg, core::InvalidationMode m)
-            : ctx(c), server(ctx, id, cfg, m) {}
-        net::MessageSink& sink() override { return server; }
-      };
-
-      rt::ShardedNode::Options sopts;
-      sopts.alignT0Micros = flags.getInt("t0-micros");
-      rt::ShardedNode sharded(
-          driver, transport, static_cast<std::size_t>(threads),
-          [&catalog, threads](const net::Message& m) {
-            return static_cast<std::size_t>(
-                raw(volumeKeyOf(m.payload, catalog)) %
-                static_cast<std::uint64_t>(threads));
-          },
-          sopts);
-      transport.attach(self, &sharded);
-
-      sharded.start([&](rt::ShardedNode::ShardContext& sc)
-                        -> std::unique_ptr<rt::ShardApp> {
-        proto::ProtocolContext sctx{sc.driver.scheduler(), sc.transport,
-                                    sc.metrics, catalog, nullptr};
-        auto app = std::make_unique<ServerShard>(sctx, self, run.config, mode);
-        sc.transport.attach(self, &app->server);
-        if (coldRestart) {
-          app->server.restoreAfterRestart(versions, epochs, recoverUntil);
-        }
-        // Each shard reports the epochs of the volumes it owns.
-        for (std::size_t v = 0; v < catalog.numVolumes(); ++v) {
-          const VolumeId vol = makeVolumeId(v);
-          if (catalog.volume(vol).server != self) continue;
-          if (v % static_cast<std::size_t>(threads) != sc.index) continue;
-          appendLocked(rt::formatEpochLine(vol, app->server.volumeEpoch(vol)));
-        }
-        scheduleWrites(sc.driver.scheduler(), app->server, appendLocked,
-                       static_cast<int>(sc.index), threads);
-        return app;
-      });
-      driver.scheduler().scheduleAt(stopAt, [&driver]() { driver.stop(); });
-      driver.run();
-      sharded.stop();
-      sharded.mergeMetricsInto(metrics);
-    } else {
-      core::VolumeServer server(ctx, self, run.config, mode);
-      transport.attach(self, &server);
-      if (coldRestart) {
-        server.restoreAfterRestart(versions, epochs, recoverUntil);
-      }
-      // One epoch line per owned volume (the old harness logged only
-      // volume 0, hiding every other volume from the ratchet check).
-      for (std::size_t v = 0; v < catalog.numVolumes(); ++v) {
-        const VolumeId vol = makeVolumeId(v);
-        if (catalog.volume(vol).server != self) continue;
-        append(rt::formatEpochLine(vol, server.volumeEpoch(vol)));
-      }
-      scheduleWrites(driver.scheduler(), server, append, 0, 1);
-      driver.scheduler().scheduleAt(stopAt, [&driver]() { driver.stop(); });
-      driver.run();
+    core::VolumeServer server(ctx, self, run.config, mode);
+    transport.attach(self, &server);
+    if (coldRestart) {
+      server.restoreAfterRestart(versions, epochs, recoverUntil);
     }
+    // One epoch line per owned volume (the old harness logged only
+    // volume 0, hiding every other volume from the ratchet check).
+    for (std::size_t v = 0; v < catalog.numVolumes(); ++v) {
+      const VolumeId vol = makeVolumeId(v);
+      if (catalog.volume(vol).server != self) continue;
+      append(rt::formatEpochLine(vol, server.volumeEpoch(vol)));
+    }
+    sim::Scheduler& sched = driver.scheduler();
+    for (const trace::TraceEvent& ev : run.workload.events) {
+      if (ev.kind != trace::EventKind::kWrite) continue;
+      if (catalog.object(ev.obj).server != self) continue;
+      if (ev.at <= resumeFrom) continue;
+      const ObjectId obj = ev.obj;
+      sched.scheduleAt(ev.at, [&sched, &server, &append, obj]() {
+        const SimTime issuedAt = sched.now();
+        append(rt::formatWriteIssueLine(obj, issuedAt));
+        server.write(obj, [&sched, &append, obj,
+                           issuedAt](const proto::WriteResult& r) {
+          rt::WriteRecord w;
+          w.obj = obj;
+          w.version = r.newVersion;
+          w.issuedAt = issuedAt;
+          w.completedAt = sched.now();
+          w.delay = r.delay;
+          append(rt::formatWriteLine(w));
+        });
+      });
+    }
+    sched.scheduleAt(stopAt, [&driver]() { driver.stop(); });
+    driver.run();
   } else {
     core::VolumeClient client(ctx, self, run.config);
     transport.attach(self, &client);
@@ -593,7 +495,6 @@ SeedVerdict runSeed(std::uint64_t seed, const Flags& flags,
       "--ports",         portsCsv,
       "--t0-micros",     std::to_string(t0),
       "--log-dir",       logDir,
-      "--threads",       std::to_string(flags.getInt("threads")),
   };
   if (flags.getBool("break-invalidation")) {
     spec.sharedArgs.push_back("--break-invalidation");
@@ -768,11 +669,8 @@ class EchoSink final : public net::MessageSink {
 
 int benchLoopback(const Flags& flags) {
   const std::int64_t benchMs = flags.getInt("bench-ms");
-  const int threads =
-      std::max<int>(1, static_cast<int>(flags.getInt("threads")));
-  // Concurrent ping-pong messages in flight, spread across shards by
-  // object id so every shard stays busy.
-  const int balls = 16 * threads;
+  // Concurrent ping-pong messages in flight.
+  const int balls = 16;
 
   rt::RealTimeDriver driver;
   stats::Metrics metrics;
@@ -786,38 +684,7 @@ int benchLoopback(const Flags& flags) {
   EchoSink sinkA(a, nodeA);
   EchoSink sinkB(b, nodeB);
   a.attach(nodeA, &sinkA);
-
-  // threads > 1: B is a sharded node -- echoes happen on shard threads
-  // and ride the SPSC queues both ways, so the bench measures the whole
-  // sharded path, not just the sockets.
-  struct EchoApp final : rt::ShardApp {
-    EchoSink echo;
-    std::int64_t* out;  // written on shard-thread destruction, read after join
-    EchoApp(net::Transport& t, NodeId self, std::int64_t* o)
-        : echo(t, self), out(o) {}
-    ~EchoApp() override { *out = echo.received(); }
-    net::MessageSink& sink() override { return echo; }
-  };
-  std::vector<std::int64_t> shardEchoes(static_cast<std::size_t>(threads), 0);
-  std::unique_ptr<rt::ShardedNode> sharded;
-  if (threads > 1) {
-    sharded = std::make_unique<rt::ShardedNode>(
-        driver, b, static_cast<std::size_t>(threads),
-        [threads](const net::Message& m) {
-          const auto* pr = std::get_if<net::PollRequest>(&m.payload);
-          const std::uint64_t key = pr ? raw(pr->obj) : 0;
-          return static_cast<std::size_t>(
-              key % static_cast<std::uint64_t>(threads));
-        });
-    b.attach(nodeB, sharded.get());
-    sharded->start([&](rt::ShardedNode::ShardContext& sc)
-                       -> std::unique_ptr<rt::ShardApp> {
-      return std::make_unique<EchoApp>(sc.transport, nodeB,
-                                       &shardEchoes[sc.index]);
-    });
-  } else {
-    b.attach(nodeB, &sinkB);
-  }
+  b.attach(nodeB, &sinkB);
 
   for (int i = 0; i < balls; ++i) {
     net::Message ping;
@@ -832,18 +699,14 @@ int benchLoopback(const Flags& flags) {
   driver.run(/*forMicros=*/benchMs * 1000);
   const double elapsedSec =
       static_cast<double>(driver.elapsed() - start) / 1e6;
-  if (sharded) sharded->stop();
-  std::int64_t echoedB = sinkB.received();
-  for (const std::int64_t e : shardEchoes) echoedB += e;
-  const std::int64_t messages = sinkA.received() + echoedB;
+  const std::int64_t messages = sinkA.received() + sinkB.received();
   const double perSec =
       elapsedSec > 0 ? static_cast<double>(messages) / elapsedSec : 0.0;
 
-  std::printf("{\"benchmark\": \"RtLoopback\", \"threads\": %d, "
-              "\"messages\": %lld, "
+  std::printf("{\"benchmark\": \"RtLoopback\", \"messages\": %lld, "
               "\"seconds\": %.3f, \"messages_per_second\": %.0f, "
               "\"frames_sent\": %lld, \"frames_received\": %lld}\n",
-              threads, static_cast<long long>(messages), elapsedSec, perSec,
+              static_cast<long long>(messages), elapsedSec, perSec,
               static_cast<long long>(a.framesSent() + b.framesSent()),
               static_cast<long long>(a.framesReceived() +
                                      b.framesReceived()));
@@ -877,10 +740,6 @@ int main(int argc, char** argv) {
   flags.addString("log-dir", "",
                   "run-log directory (parent: root, default mkdtemp; "
                   "workers: their seed's directory)");
-  flags.addInt("threads", 1,
-               "server protocol shards (1 = classic single-threaded loop; "
-               "N>1 = I/O thread + N shard threads, volumes hashed across "
-               "shards); also shards the --bench-loopback echo side");
   // worker mode
   flags.addInt("node", -1, "worker mode: host node index");
   flags.addInt("run-seed", 0, "worker mode: the seed being run");
