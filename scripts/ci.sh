@@ -29,6 +29,13 @@ cmake -B build -S . -DVLEASE_SANITIZE=${VLEASE_SANITIZE:-OFF}
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# Debug stage: the protocol's VL_DCHECKs are compiled in only without
+# NDEBUG, and every warning is an error. Its own build tree keeps the
+# main build's cache untouched.
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror
+cmake --build build-debug -j
+(cd build-debug && ctest --output-on-failure -j)
+
 build/tools/vlease_chaos --seeds 8 --intensity low
 
 # Skewed-clock smoke: bounded clock skew with the matching epsilon
@@ -55,6 +62,22 @@ build/tools/vlease_chaos --seeds 8 --intensity low --migrate \
 if build/tools/vlease_chaos --seeds 4 --intensity low --migrate \
     --break-epoch-handoff --algorithms volume,delay >/dev/null 2>&1; then
   echo "epoch-handoff negative control unexpectedly passed" >&2
+  exit 1
+fi
+
+# Bounded client caches: LRU eviction forgets leases without telling
+# the server, so invalidations and reconnection renewals arrive for
+# objects the client no longer holds. Every algorithm must stay clean,
+# under low faults and under high faults with migrations.
+build/tools/vlease_chaos --seeds 8 --intensity low --cache-capacity 2
+build/tools/vlease_chaos --seeds 16 --intensity high --migrate \
+  --cache-capacity 2
+
+# Negative control: with clients acking invalidations without applying
+# them, the bounded-cache point MUST report violations.
+if build/tools/vlease_chaos --seeds 8 --intensity low --cache-capacity 2 \
+    --break-invalidation >/dev/null 2>&1; then
+  echo "bounded-cache negative control unexpectedly passed" >&2
   exit 1
 fi
 

@@ -6,6 +6,7 @@
 
 namespace vlease::core {
 
+using proto::LeaseCache;
 using proto::ReadCallback;
 using proto::ReadResult;
 
@@ -284,7 +285,7 @@ void VolumeClient::handleObjGrant(const net::Message& msg) {
 void VolumeClient::handleInvalidate(const net::Message& msg) {
   const auto& inval = std::get<net::Invalidate>(msg.payload);
   if (!config_->faultInjectIgnoreInvalidations) {
-    cache_.entry(inval.obj).invalidate();
+    cache_.invalidate(inval.obj);
   }
   ctx_.transport.send(
       net::Message{id(), msg.from, net::AckInvalidate{inval.obj}});
@@ -313,14 +314,15 @@ void VolumeClient::handleMustRenewAll(const net::Message& msg) {
 void VolumeClient::handleBatch(const net::Message& msg) {
   const auto& batch = std::get<net::BatchInvalRenew>(msg.payload);
   if (!config_->faultInjectIgnoreInvalidations) {
-    for (ObjectId obj : batch.invalidate) {
-      cache_.entry(obj).invalidate();
-    }
+    for (ObjectId obj : batch.invalidate) cache_.invalidate(obj);
   }
+  // A bounded cache evicts without telling the server, so a renewal can
+  // name an object the client no longer holds; it is dropped.
   for (const auto& renewal : batch.renew) {
-    LeaseCache::Entry& entry = cache_.entry(renewal.obj);
-    VL_DCHECK(entry.version() == renewal.version);
-    entry.validUntil = renewal.expire;
+    LeaseCache::Entry* entry = cache_.findMutable(renewal.obj);
+    if (entry == nullptr) continue;
+    VL_DCHECK(entry->version() == renewal.version);
+    entry->validUntil = renewal.expire;
   }
   ctx_.transport.send(net::Message{id(), msg.from, net::AckBatch{batch.vol}});
   // Reads blocked on invalidated objects must re-request them; the

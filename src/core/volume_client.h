@@ -11,7 +11,7 @@
 // version -> apply the server's invalidate/renew batch -> ack.
 //
 // State layout (see DESIGN.md "Dense protocol state" and "Workload
-// engine"): the cache is a dense-by-object-id LeaseCache; per-volume
+// engine"): the cache is the dense-by-object-id proto::LeaseCache; per-volume
 // lease state lives in lazily grown vectors indexed by raw volume id;
 // the outstanding-request dedup table and the "reads waiting" index are
 // small flat vectors sized by what is actually in flight (a handful of
@@ -22,7 +22,6 @@
 
 #include <vector>
 
-#include "core/lease_cache.h"
 #include "proto/client_cache.h"
 #include "proto/protocol.h"
 
@@ -50,7 +49,6 @@ class VolumeClient final : public proto::ClientNode {
   bool hasValidVolumeLease(VolumeId vol) const;
   bool hasValidObjectLease(ObjectId obj) const;
   Epoch knownEpoch(VolumeId vol) const;
-  const LeaseCache& cache() const { return cache_; }
 
  private:
   struct VolLease {
@@ -136,7 +134,7 @@ class VolumeClient final : public proto::ClientNode {
   void handleBatch(const net::Message& msg);
 
   const proto::ProtocolConfig* config_;
-  LeaseCache cache_;
+  proto::LeaseCache cache_;
   proto::PendingReads pending_;
   std::vector<VolLease> volumes_;  // by raw(VolumeId), lazily grown
 

@@ -4,60 +4,6 @@
 
 namespace vlease::proto {
 
-void ClientCache::unlink(std::uint32_t s) {
-  Slot& slot = pool_[s];
-  if (slot.prev != kNil) pool_[slot.prev].next = slot.next;
-  if (slot.next != kNil) pool_[slot.next].prev = slot.prev;
-  if (lruHead_ == s) lruHead_ = slot.next;
-  if (lruTail_ == s) lruTail_ = slot.prev;
-  slot.prev = kNil;
-  slot.next = kNil;
-}
-
-void ClientCache::linkFront(std::uint32_t s) {
-  Slot& slot = pool_[s];
-  slot.prev = kNil;
-  slot.next = lruHead_;
-  if (lruHead_ != kNil) pool_[lruHead_].prev = s;
-  lruHead_ = s;
-  if (lruTail_ == kNil) lruTail_ = s;
-}
-
-CacheEntry& ClientCache::entry(ObjectId obj) {
-  auto it = map_.find(obj);
-  if (it != map_.end()) {
-    moveToFront(it->second);
-    return pool_[it->second].entry;
-  }
-  std::uint32_t s;
-  if (!free_.empty()) {
-    s = free_.back();
-    free_.pop_back();
-    pool_[s].entry = CacheEntry{};
-  } else {
-    s = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
-  }
-  pool_[s].obj = obj;
-  linkFront(s);
-  map_.emplace(obj, s);
-  if (capacity_ > 0 && map_.size() > capacity_) {
-    // Evict the least recently used entry (never the one just added:
-    // it sits at the front and capacity_ >= 1).
-    const std::uint32_t victim = lruTail_;
-    unlink(victim);
-    map_.erase(pool_[victim].obj);
-    free_.push_back(victim);
-    ++evictions_;
-  }
-  return pool_[s].entry;
-}
-
-void ClientCache::touch(ObjectId obj) {
-  auto it = map_.find(obj);
-  if (it != map_.end()) moveToFront(it->second);
-}
-
 PendingReads::Token PendingReads::add(ObjectId obj, SimDuration timeout,
                                       ReadCallback onResolve) {
   std::uint32_t slot;

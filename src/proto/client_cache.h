@@ -1,127 +1,241 @@
-// Client-side cache bookkeeping shared by all algorithms, plus the
-// pending-read table that matches asynchronous replies (and timeouts)
-// back to outstanding read() calls.
+// Client-side state shared by every algorithm: the object cache
+// (LeaseCache) and the pending-read table that matches asynchronous
+// replies (and timeouts) back to outstanding read() calls.
 //
-// The paper assumes infinitely large client caches (§4.1); we do the
-// same -- entries are only removed by invalidation or dropCache().
+// The paper assumes infinitely large client caches (§4.1); capacity 0
+// does the same -- entries are only removed by dropCache(). A nonzero
+// capacity bounds the entry count with LRU eviction: entry() and touch()
+// refresh recency, and inserting beyond capacity evicts the least
+// recently used entry (its lease is simply forgotten; the server's
+// record expires or is acked away on the next invalidation).
+//
+// Catalog object ids are small dense integers, so the cache indexes
+// entries directly by raw id: one lazily grown vector of 24-byte
+// entries, no hashing, no per-entry allocation. The LRU links live in a
+// side table that is only allocated for bounded caches, so the
+// capacity == 0 fleet (every large-scale config) never pays for them.
+//
+// Iteration-order contract: forEach visits entries newest-first in
+// insertion order (an intrusive LIFO list threaded through the
+// entries). The volume client's reconnection exchange (-> RenewObjLeases
+// message order -> loss-roll consumption) makes that order observable,
+// so it must not change. The oracle sorts what servable() reports, so
+// no other caller observes it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/protocol.h"
 #include "sim/scheduler.h"
+#include "util/check.h"
 #include "util/ids.h"
 #include "util/time.h"
 
 namespace vlease::proto {
 
-struct CacheEntry {
-  Version version = kNoVersion;  // kNoVersion: no copy cached
-  bool hasData = false;
-  /// Whether the most recent object-lease grant for this entry carried
-  /// data (vs. a version-check-only renewal). The volume client clears
-  /// it when a read starts missing and reports it in the read result;
-  /// keeping it in the entry bounds its lifetime to the cache's
-  /// (a side table keyed by object would grow without bound).
-  /// invalidate() leaves it alone: it describes the last grant, not the
-  /// current copy.
-  bool lastGrantCarriedData = false;
-  /// Lease/validity horizon: object lease expiry (lease algorithms),
-  /// lastValidated + t (Poll), kNever (Callback registration).
-  SimTime validUntil = kSimTimeMin;
-  /// When the entry was last validated against the server.
-  SimTime lastValidated = kSimTimeMin;
-
-  bool valid(SimTime now) const { return hasData && validUntil > now; }
-
-  void invalidate() {
-    hasData = false;
-    version = kNoVersion;
-    validUntil = kSimTimeMin;
-  }
-};
-
-/// Per-client object cache. capacity == 0 reproduces the paper's
-/// infinitely large caches (§4.1); a nonzero capacity bounds the number
-/// of entries with LRU eviction -- entry() and touch() refresh recency,
-/// and inserting beyond capacity evicts the least recently used entry
-/// (leases on evicted objects are simply forgotten; the server's record
-/// expires or is acked away on the next invalidation).
-///
-/// Entries live in a recycled slot pool with the LRU list threaded
-/// intrusively through the slots, so the hit path (find + touch) never
-/// touches the heap. The key index stays a std::unordered_map: its
-/// iteration order is what forEach exposes, and the reconnection
-/// exchange (-> message order -> loss-roll consumption) makes that
-/// order observable, so it must not change.
-class ClientCache {
+/// Per-client object cache: one copy plus its lease or validity horizon
+/// per object (see the file comment).
+class LeaseCache {
  public:
-  explicit ClientCache(std::size_t capacity = 0) : capacity_(capacity) {}
+  static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  CacheEntry& entry(ObjectId obj);
+  /// 24 bytes: object versions are write counters that fit 32 bits
+  /// with room to spare (checked on store).
+  struct Entry {
+    SimTime validUntil = kSimTimeMin;
+    std::int32_t version32 = static_cast<std::int32_t>(kNoVersion);
+    std::uint32_t prev = kNil;  // insertion-order links, newest at head
+    std::uint32_t next = kNil;
+    bool present = false;
+    bool hasData = false;
+    /// Whether the most recent object-lease grant for this entry carried
+    /// data (vs. a version-check-only renewal). The volume client clears
+    /// it when a read starts missing and reports it in the read result.
+    /// invalidate() leaves it alone: it describes the last grant, not
+    /// the current copy.
+    bool lastGrantCarriedData = false;
 
-  const CacheEntry* find(ObjectId obj) const {
-    auto it = map_.find(obj);
-    return it == map_.end() ? nullptr : &pool_[it->second].entry;
+    Version version() const { return version32; }
+    void setVersion(Version v) {
+      VL_DCHECK(v >= INT32_MIN && v <= INT32_MAX);
+      version32 = static_cast<std::int32_t>(v);
+    }
+    bool valid(SimTime now) const { return hasData && validUntil > now; }
+    void invalidate() {
+      hasData = false;
+      version32 = static_cast<std::int32_t>(kNoVersion);
+      validUntil = kSimTimeMin;
+    }
+  };
+  static_assert(sizeof(Entry) == 24);
+
+  /// `sizeHint`: expected id-space size (catalog object count); the
+  /// first growth reserves exactly this much so a million clients don't
+  /// each overshoot geometrically.
+  explicit LeaseCache(std::size_t capacity = 0, std::size_t sizeHint = 0)
+      : capacity_(capacity), sizeHint_(sizeHint) {}
+
+  const Entry* find(ObjectId obj) const {
+    const std::size_t i = raw(obj);
+    if (i >= entries_.size() || !entries_[i].present) return nullptr;
+    return &entries_[i];
   }
 
-  /// Like find(), but mutable and WITHOUT refreshing LRU recency (for
-  /// bookkeeping writes such as clearing lastGrantCarriedData that must
-  /// not count as a use of the entry).
-  CacheEntry* findMutable(ObjectId obj) {
-    auto it = map_.find(obj);
-    return it == map_.end() ? nullptr : &pool_[it->second].entry;
+  /// Mutable find WITHOUT refreshing LRU recency (bookkeeping writes
+  /// such as clearing lastGrantCarriedData must not count as a use).
+  Entry* findMutable(ObjectId obj) {
+    return const_cast<Entry*>(
+        static_cast<const LeaseCache*>(this)->find(obj));
+  }
+
+  /// Invalidate a held entry. An object the cache does not hold stays
+  /// absent: an invalidation is not a use, so it neither inserts nor
+  /// refreshes recency.
+  void invalidate(ObjectId obj) {
+    if (Entry* e = findMutable(obj)) e->invalidate();
+  }
+
+  /// Find-or-insert, refreshing LRU recency; inserting beyond capacity
+  /// evicts the least recently used entry (never the one just added).
+  Entry& entry(ObjectId obj) {
+    const std::size_t i = raw(obj);
+    growTo(i);
+    Entry& e = entries_[i];
+    if (e.present) {
+      if (capacity_ > 0) lruMoveToFront(static_cast<std::uint32_t>(i));
+      return e;
+    }
+    e = Entry{};
+    e.present = true;
+    insLinkFront(static_cast<std::uint32_t>(i));
+    ++size_;
+    if (capacity_ > 0) {
+      lruLinkFront(static_cast<std::uint32_t>(i));
+      if (size_ > capacity_) evictLru();
+    }
+    return e;
   }
 
   /// Refresh LRU recency (cache-hit path).
-  void touch(ObjectId obj);
-
-  void clear() {
-    map_.clear();
-    pool_.clear();
-    free_.clear();
-    lruHead_ = kNil;
-    lruTail_ = kNil;
+  void touch(ObjectId obj) {
+    const std::size_t i = raw(obj);
+    if (capacity_ == 0 || i >= entries_.size() || !entries_[i].present) return;
+    lruMoveToFront(static_cast<std::uint32_t>(i));
   }
 
-  std::size_t size() const { return map_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  /// Forget every entry; keeps the storage (dropCache happens mid-run).
+  void clear() {
+    for (std::uint32_t i = insHead_; i != kNil;) {
+      const std::uint32_t next = entries_[i].next;
+      entries_[i] = Entry{};
+      if (capacity_ > 0) lru_[i] = LruLink{};
+      i = next;
+    }
+    insHead_ = kNil;
+    lruHead_ = kNil;
+    lruTail_ = kNil;
+    size_ = 0;
+  }
+
+  /// Release the storage too (client churn: a departed client returns
+  /// its memory; re-arrival regrows lazily).
+  void releaseMemory() {
+    std::vector<Entry>().swap(entries_);
+    std::vector<LruLink>().swap(lru_);
+    insHead_ = kNil;
+    lruHead_ = kNil;
+    lruTail_ = kNil;
+    size_ = 0;
+  }
+
+  std::size_t size() const { return size_; }
   std::int64_t evictions() const { return evictions_; }
 
-  /// Visit every (id, entry) pair (reconnection enumerates the cache).
+  /// Visit every (id, entry) pair, newest insertion first (the
+  /// reconnection exchange enumerates the cache; order is observable).
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    for (const auto& [obj, slot] : map_) fn(obj, pool_[slot].entry);
+    for (std::uint32_t i = insHead_; i != kNil; i = entries_[i].next) {
+      fn(makeObjectId(i), entries_[i]);
+    }
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  struct Slot {
-    CacheEntry entry;
-    ObjectId obj{};
+  struct LruLink {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
 
-  void unlink(std::uint32_t s);
-  void linkFront(std::uint32_t s);
-  void moveToFront(std::uint32_t s) {
-    if (lruHead_ == s) return;
-    unlink(s);
-    linkFront(s);
+  void growTo(std::size_t i) {
+    if (i < entries_.size()) return;
+    const std::size_t target = std::max(i + 1, sizeHint_);
+    entries_.reserve(target);
+    entries_.resize(i + 1);
+    if (capacity_ > 0) {
+      lru_.reserve(target);
+      lru_.resize(i + 1);
+    }
+  }
+
+  void insLinkFront(std::uint32_t i) {
+    entries_[i].prev = kNil;
+    entries_[i].next = insHead_;
+    if (insHead_ != kNil) entries_[insHead_].prev = i;
+    insHead_ = i;
+  }
+  void insUnlink(std::uint32_t i) {
+    Entry& e = entries_[i];
+    if (e.prev != kNil) entries_[e.prev].next = e.next;
+    if (e.next != kNil) entries_[e.next].prev = e.prev;
+    if (insHead_ == i) insHead_ = e.next;
+    e.prev = kNil;
+    e.next = kNil;
+  }
+
+  void lruLinkFront(std::uint32_t i) {
+    lru_[i].prev = kNil;
+    lru_[i].next = lruHead_;
+    if (lruHead_ != kNil) lru_[lruHead_].prev = i;
+    lruHead_ = i;
+    if (lruTail_ == kNil) lruTail_ = i;
+  }
+  void lruUnlink(std::uint32_t i) {
+    LruLink& l = lru_[i];
+    if (l.prev != kNil) lru_[l.prev].next = l.next;
+    if (l.next != kNil) lru_[l.next].prev = l.prev;
+    if (lruHead_ == i) lruHead_ = l.next;
+    if (lruTail_ == i) lruTail_ = l.prev;
+    l.prev = kNil;
+    l.next = kNil;
+  }
+  void lruMoveToFront(std::uint32_t i) {
+    if (lruHead_ == i) return;
+    lruUnlink(i);
+    lruLinkFront(i);
+  }
+  void evictLru() {
+    const std::uint32_t victim = lruTail_;
+    VL_DCHECK(victim != kNil);
+    lruUnlink(victim);
+    insUnlink(victim);
+    entries_[victim].present = false;
+    --size_;
+    ++evictions_;
   }
 
   std::size_t capacity_;
+  std::size_t sizeHint_;
   std::int64_t evictions_ = 0;
-  std::unordered_map<ObjectId, std::uint32_t> map_;
-  std::vector<Slot> pool_;
-  std::vector<std::uint32_t> free_;
+  std::vector<Entry> entries_;  // by raw object id, lazily grown
+  std::vector<LruLink> lru_;    // allocated only when capacity_ > 0
+  std::uint32_t insHead_ = kNil;
   std::uint32_t lruHead_ = kNil;  // most recently used
   std::uint32_t lruTail_ = kNil;  // least recently used
+  std::size_t size_ = 0;
 };
+
 
 /// Table of outstanding read() operations. Replies resolve every op
 /// waiting on the object; a per-op timer resolves stragglers as failed.

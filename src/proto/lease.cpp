@@ -296,22 +296,22 @@ void LeaseServer::finalizeAccounting(SimTime now) {
 
 void LeaseClient::read(ObjectId obj, ReadCallback cb) {
   const SimTime now = ctx_.scheduler.now();
-  const CacheEntry* entry = cache_.find(obj);
+  const LeaseCache::Entry* entry = cache_.find(obj);
   if (entry != nullptr && entry->valid(leaseGuard(now))) {
     cache_.touch(obj);
     ReadResult result;
     result.ok = true;
     result.usedNetwork = false;
     result.fetchedData = false;
-    result.version = entry->version;
+    result.version = entry->version();
     cb(result);
     return;
   }
   const bool alreadyAsking = pending_.waitingOn(obj);
   pending_.add(obj, config_.readTimeout, std::move(cb));
   if (!alreadyAsking) {
-    const Version have = entry != nullptr && entry->hasData ? entry->version
-                                                            : kNoVersion;
+    const Version have =
+        entry != nullptr && entry->hasData ? entry->version() : kNoVersion;
     ctx_.transport.send(net::Message{id(), ctx_.serverOf(obj),
                                      net::ReqObjLease{obj, have}});
   }
@@ -319,11 +319,10 @@ void LeaseClient::read(ObjectId obj, ReadCallback cb) {
 
 void LeaseClient::deliver(const net::Message& msg) {
   if (const auto* grant = std::get_if<net::ObjLeaseGrant>(&msg.payload)) {
-    CacheEntry& entry = cache_.entry(grant->obj);
-    entry.version = grant->version;
+    LeaseCache::Entry& entry = cache_.entry(grant->obj);
+    entry.setVersion(grant->version);
     if (grant->carriesData) entry.hasData = true;
     entry.validUntil = grant->expire;
-    entry.lastValidated = ctx_.scheduler.now();
 
     ReadResult result;
     result.ok = entry.hasData;
@@ -336,7 +335,7 @@ void LeaseClient::deliver(const net::Message& msg) {
   const auto* inval = std::get_if<net::Invalidate>(&msg.payload);
   VL_CHECK_MSG(inval != nullptr, "LeaseClient: unexpected message type");
   if (!config_.faultInjectIgnoreInvalidations) {
-    cache_.entry(inval->obj).invalidate();
+    cache_.invalidate(inval->obj);
   }
   if (mode_ != LeaseMode::kBestEffort || config_.bestEffortRetries > 0) {
     ctx_.transport.send(

@@ -107,7 +107,7 @@ class LeaseClient final : public ClientNode {
       : ClientNode(ctx, id),
         config_(config),
         mode_(mode),
-        cache_(config.clientCacheCapacity),
+        cache_(config.clientCacheCapacity, ctx.catalog.numObjects()),
         pending_(ctx.scheduler) {}
 
   void read(ObjectId obj, ReadCallback cb) override;
@@ -115,12 +115,10 @@ class LeaseClient final : public ClientNode {
   void deliver(const net::Message& msg) override;
   void servable(SimTime now, std::vector<Servable>& out) const override {
     const SimTime guard = leaseGuard(now);
-    cache_.forEach([&](ObjectId obj, const CacheEntry& entry) {
-      if (entry.valid(guard)) out.push_back({obj, entry.version});
+    cache_.forEach([&](ObjectId obj, const LeaseCache::Entry& entry) {
+      if (entry.valid(guard)) out.push_back({obj, entry.version()});
     });
   }
-
-  const ClientCache& cache() const { return cache_; }
 
  private:
   /// Client-conservative expiry clock: validity is evaluated against
@@ -132,7 +130,7 @@ class LeaseClient final : public ClientNode {
 
   const ProtocolConfig config_;
   const LeaseMode mode_;
-  ClientCache cache_;
+  LeaseCache cache_;
   PendingReads pending_;
 };
 

@@ -43,7 +43,7 @@ void PollServer::deliver(const net::Message& msg) {
 
 void PollClient::read(ObjectId obj, ReadCallback cb) {
   const SimTime now = ctx_.scheduler.now();
-  const CacheEntry* entry = cache_.find(obj);
+  const LeaseCache::Entry* entry = cache_.find(obj);
   if (entry != nullptr && entry->valid(now)) {
     // Within the validity window: serve locally. This is where Poll can
     // return stale data; the driver's oracle counts it.
@@ -52,15 +52,15 @@ void PollClient::read(ObjectId obj, ReadCallback cb) {
     result.ok = true;
     result.usedNetwork = false;
     result.fetchedData = false;
-    result.version = entry->version;
+    result.version = entry->version();
     cb(result);
     return;
   }
   const bool alreadyAsking = pending_.waitingOn(obj);
   pending_.add(obj, config_.readTimeout, std::move(cb));
   if (!alreadyAsking) {
-    const Version have = entry != nullptr && entry->hasData ? entry->version
-                                                            : kNoVersion;
+    const Version have =
+        entry != nullptr && entry->hasData ? entry->version() : kNoVersion;
     ctx_.transport.send(net::Message{id(), ctx_.serverOf(obj),
                                      net::PollRequest{obj, have}});
   }
@@ -70,10 +70,9 @@ void PollClient::deliver(const net::Message& msg) {
   const auto* reply = std::get_if<net::PollReply>(&msg.payload);
   VL_CHECK_MSG(reply != nullptr, "PollClient: unexpected message type");
   const SimTime now = ctx_.scheduler.now();
-  CacheEntry& entry = cache_.entry(reply->obj);
-  entry.version = reply->version;
+  LeaseCache::Entry& entry = cache_.entry(reply->obj);
+  entry.setVersion(reply->version);
   entry.hasData = true;
-  entry.lastValidated = now;
   if (config_.algorithm == Algorithm::kPollAdaptive) {
     // Adaptive TTL: window proportional to the object's age.
     const auto age = static_cast<double>(now - reply->modifiedAt);

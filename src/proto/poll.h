@@ -46,21 +46,21 @@ class PollClient final : public ClientNode {
   PollClient(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config)
       : ClientNode(ctx, id),
         config_(config),
-        cache_(config.clientCacheCapacity),
+        cache_(config.clientCacheCapacity, ctx.catalog.numObjects()),
         pending_(ctx.scheduler) {}
 
   void read(ObjectId obj, ReadCallback cb) override;
   void dropCache() override { cache_.clear(); }
   void deliver(const net::Message& msg) override;
   void servable(SimTime now, std::vector<Servable>& out) const override {
-    cache_.forEach([&](ObjectId obj, const CacheEntry& entry) {
-      if (entry.valid(now)) out.push_back({obj, entry.version});
+    cache_.forEach([&](ObjectId obj, const LeaseCache::Entry& entry) {
+      if (entry.valid(now)) out.push_back({obj, entry.version()});
     });
   }
 
  private:
   const ProtocolConfig config_;
-  ClientCache cache_;
+  LeaseCache cache_;
   PendingReads pending_;
 };
 

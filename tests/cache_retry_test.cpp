@@ -13,16 +13,16 @@ namespace vlease {
 namespace {
 
 using proto::Algorithm;
-using proto::ClientCache;
+using proto::LeaseCache;
 using proto::ProtocolConfig;
 using testing::ProtoHarness;
 
 // ---------------------------------------------------------------------
-// ClientCache LRU mechanics
+// LeaseCache LRU mechanics
 // ---------------------------------------------------------------------
 
 TEST(LruCacheTest, UnboundedByDefault) {
-  ClientCache cache;
+  LeaseCache cache;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     cache.entry(makeObjectId(i)).hasData = true;
   }
@@ -31,7 +31,7 @@ TEST(LruCacheTest, UnboundedByDefault) {
 }
 
 TEST(LruCacheTest, CapacityEnforced) {
-  ClientCache cache(3);
+  LeaseCache cache(3);
   for (std::uint64_t i = 0; i < 10; ++i) {
     cache.entry(makeObjectId(i)).hasData = true;
   }
@@ -45,7 +45,7 @@ TEST(LruCacheTest, CapacityEnforced) {
 }
 
 TEST(LruCacheTest, TouchProtectsFromEviction) {
-  ClientCache cache(2);
+  LeaseCache cache(2);
   cache.entry(makeObjectId(1)).hasData = true;
   cache.entry(makeObjectId(2)).hasData = true;
   cache.touch(makeObjectId(1));        // 1 is now most recent
@@ -54,17 +54,32 @@ TEST(LruCacheTest, TouchProtectsFromEviction) {
   EXPECT_EQ(cache.find(makeObjectId(2)), nullptr);
 }
 
+TEST(LruCacheTest, InvalidateNeitherInsertsNorRefreshes) {
+  LeaseCache cache(2);
+  cache.entry(makeObjectId(1)).hasData = true;
+  cache.entry(makeObjectId(2)).hasData = true;
+  cache.invalidate(makeObjectId(3));  // not held: stays absent
+  EXPECT_EQ(cache.find(makeObjectId(3)), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.invalidate(makeObjectId(1));  // held: emptied, recency unchanged
+  ASSERT_NE(cache.find(makeObjectId(1)), nullptr);
+  EXPECT_FALSE(cache.find(makeObjectId(1))->hasData);
+  cache.entry(makeObjectId(3));  // evicts 1, the least recently used
+  EXPECT_EQ(cache.find(makeObjectId(1)), nullptr);
+  EXPECT_NE(cache.find(makeObjectId(2)), nullptr);
+}
+
 TEST(LruCacheTest, ReinsertAfterEviction) {
-  ClientCache cache(1);
-  cache.entry(makeObjectId(1)).version = 5;
-  cache.entry(makeObjectId(2)).version = 6;
+  LeaseCache cache(1);
+  cache.entry(makeObjectId(1)).setVersion(5);
+  cache.entry(makeObjectId(2)).setVersion(6);
   EXPECT_EQ(cache.find(makeObjectId(1)), nullptr);
   // Re-inserting 1 starts from a fresh entry, not a stale one.
-  EXPECT_EQ(cache.entry(makeObjectId(1)).version, kNoVersion);
+  EXPECT_EQ(cache.entry(makeObjectId(1)).version(), kNoVersion);
 }
 
 TEST(LruCacheTest, ClearResetsEverything) {
-  ClientCache cache(4);
+  LeaseCache cache(4);
   for (std::uint64_t i = 0; i < 8; ++i) cache.entry(makeObjectId(i));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -75,12 +90,12 @@ TEST(LruCacheTest, ClearResetsEverything) {
 }
 
 TEST(LruCacheTest, ForEachVisitsAllEntries) {
-  ClientCache cache(8);
+  LeaseCache cache(8);
   for (std::uint64_t i = 0; i < 5; ++i) {
     cache.entry(makeObjectId(i)).hasData = true;
   }
   int visited = 0;
-  cache.forEach([&](ObjectId, const proto::CacheEntry& e) {
+  cache.forEach([&](ObjectId, const LeaseCache::Entry& e) {
     EXPECT_TRUE(e.hasData);
     ++visited;
   });
@@ -172,6 +187,21 @@ TEST(FiniteCacheTest, EvictionForgettingLeaseIsSafeOnWrite) {
   auto w = h.write(0);
   EXPECT_EQ(w.delay, 0);  // ack arrived despite the missing entry
   EXPECT_FALSE(w.blocked);
+}
+
+TEST(FiniteCacheTest, InvalidationOfUncachedObjectEvictsNothing) {
+  // The server still holds a lease on an object the client evicted. Its
+  // invalidation must not re-insert that object into the full cache and
+  // push out one the client still holds.
+  ProtocolConfig config = volumeCfg(2);
+  config.algorithm = Algorithm::kLease;
+  ProtoHarness h(config, 1, 1, 3);
+  h.read(0, 2);
+  h.read(0, 0);
+  h.read(0, 1);  // evicts object 2 client-side
+  h.write(2);    // invalidates the uncached object 2
+  EXPECT_FALSE(h.read(0, 0).usedNetwork);
+  EXPECT_FALSE(h.read(0, 1).usedNetwork);
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the shared client-side helpers: CacheEntry and the
+// Tests for the shared client-side helpers: LeaseCache entries and the
 // PendingReads op table (resolution, timeouts, reentrancy).
 #include "proto/client_cache.h"
 
@@ -11,13 +11,13 @@ constexpr ObjectId kObj = makeObjectId(5);
 constexpr ObjectId kOther = makeObjectId(6);
 
 TEST(CacheEntryTest, DefaultInvalid) {
-  CacheEntry entry;
+  LeaseCache::Entry entry;
   EXPECT_FALSE(entry.valid(0));
-  EXPECT_EQ(entry.version, kNoVersion);
+  EXPECT_EQ(entry.version(), kNoVersion);
 }
 
 TEST(CacheEntryTest, ValidityWindow) {
-  CacheEntry entry;
+  LeaseCache::Entry entry;
   entry.hasData = true;
   entry.validUntil = sec(10);
   EXPECT_TRUE(entry.valid(sec(9)));
@@ -27,19 +27,22 @@ TEST(CacheEntryTest, ValidityWindow) {
 }
 
 TEST(CacheEntryTest, InvalidateResets) {
-  CacheEntry entry{.version = 3, .hasData = true, .validUntil = sec(10), .lastValidated = sec(1)};
+  LeaseCache::Entry entry;
+  entry.setVersion(3);
+  entry.hasData = true;
+  entry.validUntil = sec(10);
   entry.invalidate();
   EXPECT_FALSE(entry.hasData);
-  EXPECT_EQ(entry.version, kNoVersion);
+  EXPECT_EQ(entry.version(), kNoVersion);
   EXPECT_FALSE(entry.valid(0));
 }
 
 TEST(ClientCacheTest, FindVsEntry) {
-  ClientCache cache;
+  LeaseCache cache;
   EXPECT_EQ(cache.find(kObj), nullptr);
-  cache.entry(kObj).version = 4;
+  cache.entry(kObj).setVersion(4);
   ASSERT_NE(cache.find(kObj), nullptr);
-  EXPECT_EQ(cache.find(kObj)->version, 4);
+  EXPECT_EQ(cache.find(kObj)->version(), 4);
   cache.clear();
   EXPECT_EQ(cache.find(kObj), nullptr);
 }

@@ -113,9 +113,9 @@ TEST(ExpiryBoundary, PlainLeaseBoundaryMatches) {
 }
 
 TEST(ExpiryBoundary, CacheEntryInvalidExactlyAtValidUntil) {
-  proto::CacheEntry entry;
+  proto::LeaseCache::Entry entry;
   entry.hasData = true;
-  entry.version = 3;
+  entry.setVersion(3);
   entry.validUntil = sec(10);
   EXPECT_TRUE(entry.valid(sec(10) - 1));
   EXPECT_FALSE(entry.valid(sec(10)));

@@ -99,15 +99,20 @@ trace::Catalog makeCatalog() {
   return catalog;
 }
 
+driver::SimOptions withLatency(SimDuration latency) {
+  driver::SimOptions options;
+  options.networkLatency = latency;
+  return options;
+}
+
 /// One wired simulation; when `useReference` the dense server is
 /// replaced (detach + attach through the transport) by the frozen
 /// hash-map implementation.
 struct Rig {
   Rig(const trace::Catalog& catalog, const proto::ProtocolConfig& config,
       bool useReference)
-      : sim(std::make_unique<driver::Simulation>(
-            catalog, config,
-            driver::SimOptions{.networkLatency = msec(20)})) {
+      : sim(std::make_unique<driver::Simulation>(catalog, config,
+                                                 withLatency(msec(20)))) {
     if (useReference) {
       const auto mode = config.algorithm == proto::Algorithm::kVolumeLease
                             ? core::InvalidationMode::kImmediate

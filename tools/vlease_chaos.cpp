@@ -15,6 +15,7 @@
 //   $ vlease_chaos --seeds 16 --skew high --epsilon-ms 0  # must bark
 //   $ vlease_chaos --seeds 8 --migrate              # online handoff: clean
 //   $ vlease_chaos --seeds 4 --migrate --break-epoch-handoff  # must bark
+//   $ vlease_chaos --seeds 8 --cache-capacity 2     # LRU eviction: clean
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -118,6 +119,9 @@ int main(int argc, char** argv) {
   flags.addInt("churn-sec", 0,
                "client churn period in seconds: one graceful depart + "
                "re-arrive per period (0 = off)");
+  flags.addInt("cache-capacity", 0,
+               "client cache entries before LRU eviction (0 = the "
+               "paper's infinite caches)");
   driver::addRunnerFlags(flags);  // --threads --csv --json
   if (!flags.parse(argc, argv)) return 1;
 
@@ -149,6 +153,12 @@ int main(int argc, char** argv) {
   const auto seedBase = flags.getInt("seed-base");
   if (algorithms.empty() || seeds <= 0) {
     std::fprintf(stderr, "nothing to run\n");
+    return 1;
+  }
+
+  const std::int64_t cacheCapacity = flags.getInt("cache-capacity");
+  if (cacheCapacity < 0) {
+    std::fprintf(stderr, "--cache-capacity must be >= 0\n");
     return 1;
   }
 
@@ -210,6 +220,7 @@ int main(int argc, char** argv) {
   base.clockEpsilon = epsilon;
   base.faultInjectIgnoreInvalidations = flags.getBool("break-invalidation");
   base.leaseSweepPeriod = msec(flags.getInt("sweep-ms"));
+  base.clientCacheCapacity = static_cast<std::size_t>(cacheCapacity);
 
   // Fixed migration schedule shared by every seed (the fault plans
   // vary per seed, so across the sweep the handoffs land inside many
@@ -296,7 +307,8 @@ int main(int argc, char** argv) {
   driver::emitTable(driver::toTable(spec, results), flags);
   if (!flags.getBool("csv") && !flags.getBool("json")) {
     std::printf("\nintensity=%s skew=%s epsilon=%s servers=%lld "
-                "volumes/server=%lld migrate=%s seeds=%lld..%lld  "
+                "volumes/server=%lld migrate=%s cache=%lld "
+                "seeds=%lld..%lld  "
                 "(%zu plans x %zu "
                 "algorithms, %lld reads, %lld writes)\n",
                 flags.getString("intensity").c_str(),
@@ -305,6 +317,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(flags.getInt("servers")),
                 static_cast<long long>(flags.getInt("volumes-per-server")),
                 migrate ? (breakEpochHandoff ? "broken" : "on") : "off",
+                static_cast<long long>(cacheCapacity),
                 static_cast<long long>(seedBase),
                 static_cast<long long>(seedBase + seeds - 1),
                 static_cast<std::size_t>(seeds), algorithms.size(),
