@@ -155,19 +155,24 @@ fi
 build/bench/micro_kernel --benchmark_min_time=0.05 >/dev/null
 
 if [[ "${VLEASE_SANITIZE:-OFF}" != "ON" ]]; then
-  # Perf regression smoke against the tracked baselines. The tolerance
-  # is deliberately generous: this is best-of-few on a shared box, so it
-  # only catches order-of-magnitude regressions (a dropped fast path, an
-  # accidental O(n) scan); scripts/bench.sh with more reps is the real
-  # measurement. Skipped under sanitizers -- the instrumented build's
-  # timings are meaningless.
+  # Perf regression smoke against the tracked baselines. The wall-clock
+  # suites' tolerance is deliberately generous: this is best-of-few on a
+  # shared box, so it only catches order-of-magnitude regressions (a
+  # dropped fast path, an accidental O(n) scan); scripts/bench.sh with
+  # more reps is the real measurement. Skipped under sanitizers -- the
+  # instrumented build's timings are meaningless.
   scripts/bench.sh --suite kernel --check 60 --reps 2 --min-time 0.1
   scripts/bench.sh --suite protocol --check 60 --reps 2 --min-time 0.1
   # Scale gate: the streaming replay's 50k-client configuration must
   # hold its events/second (deadline-lane timer churn + sweep active).
   scripts/bench.sh --suite scale --check 60 --reps 2
-  # rt gate: loopback messages/second through two real TcpTransports.
-  scripts/bench.sh --suite rt --check 60 --reps 2
+  # rt gate: loopback messages per process-CPU second through two real
+  # TcpTransports. Best of 3 at 25% (BENCHMARK.json's bound): on a
+  # shared 4-vCPU host the unchanged tree read 0.92-1.00x of its
+  # baseline in 10 of 10 runs and a 35% slowdown 0.61-0.64x in 3 of 3.
+  # The same run also holds the wall msgs/s above 0.40x of its baseline
+  # (the old --check 60), which is what a send stall shows up in.
+  scripts/bench.sh --suite rt --check 25 --reps 3
 fi
 
 if [[ "${VLEASE_SANITIZE:-OFF}" == "ON" ]]; then

@@ -14,6 +14,12 @@ void WireWriter::u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
 }
 
+void WireWriter::patchU32(std::size_t pos, std::uint32_t v) {
+  VL_CHECK(pos + 4 <= bytes_.size());
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes_[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 bool WireReader::need(std::size_t n) {
   if (!ok_ || size_ - pos_ < n) {
     ok_ = false;
@@ -210,9 +216,23 @@ std::optional<Payload> decodePayloadImpl(std::size_t typeIndex, WireReader& r,
 }
 
 /// Frame layout constants: [u32 from][u32 to][u8 type] header and the
-/// trailing [u32 crc32].
+/// trailing [u32 crc32]; a stream frame puts a [u32 length] before them.
 constexpr std::size_t kFrameHeaderBytes = 9;
 constexpr std::size_t kFrameChecksumBytes = 4;
+constexpr std::size_t kFramePrefixBytes = 4;
+/// encodeFrame()'s up-front reservation, enough for a frame without
+/// lists; a larger frame (a renewal batch) grows the buffer as it goes.
+constexpr std::size_t kFrameReserveBytes = 96;
+
+/// Append header, payload and the checksum over both to `w`.
+void encodeInto(WireWriter& w, const Message& msg) {
+  const std::size_t start = w.size();
+  w.u32(raw(msg.from));
+  w.u32(raw(msg.to));
+  w.u8(static_cast<std::uint8_t>(payloadTypeIndex(msg.payload)));
+  std::visit(EncodeVisitor{w}, msg.payload);
+  w.u32(wireChecksum(w.bytes().data() + start, w.size() - start));
+}
 
 }  // namespace
 
@@ -235,11 +255,15 @@ std::uint32_t wireChecksum(const std::uint8_t* data, std::size_t size) {
 
 std::vector<std::uint8_t> encodeMessage(const Message& msg) {
   WireWriter w;
-  w.u32(raw(msg.from));
-  w.u32(raw(msg.to));
-  w.u8(static_cast<std::uint8_t>(payloadTypeIndex(msg.payload)));
-  std::visit(EncodeVisitor{w}, msg.payload);
-  w.u32(wireChecksum(w.bytes().data(), w.bytes().size()));
+  encodeInto(w, msg);
+  return w.take();
+}
+
+std::vector<std::uint8_t> encodeFrame(const Message& msg) {
+  WireWriter w(kFrameReserveBytes);
+  w.u32(0);  // the length, patched once the body is written
+  encodeInto(w, msg);
+  w.patchU32(0, static_cast<std::uint32_t>(w.size() - kFramePrefixBytes));
   return w.take();
 }
 

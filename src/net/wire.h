@@ -30,12 +30,19 @@ namespace vlease::net {
 /// Append-only little-endian encoder.
 class WireWriter {
  public:
+  explicit WireWriter(std::size_t reserveBytes = 0) {
+    bytes_.reserve(reserveBytes);
+  }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// Overwrite the four bytes at `pos` (already written) with `v`.
+  void patchU32(std::size_t pos, std::uint32_t v);
 
+  std::size_t size() const { return bytes_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -74,6 +81,10 @@ std::uint32_t wireChecksum(const std::uint8_t* data, std::size_t size);
 
 /// Serialize a message (header + payload + trailing checksum).
 std::vector<std::uint8_t> encodeMessage(const Message& msg);
+
+/// encodeMessage() behind its u32 length prefix -- one stream frame, as
+/// rt::TcpTransport sends it -- built in a single buffer.
+std::vector<std::uint8_t> encodeFrame(const Message& msg);
 
 /// Parse; nullopt on any malformed input (truncation, checksum
 /// mismatch, bad type byte, oversized list).

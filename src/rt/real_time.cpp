@@ -14,6 +14,19 @@
 
 namespace vlease::rt {
 
+namespace {
+
+/// A number for the calling thread that no other thread of the process
+/// ever gets (std::thread::id values are reused once a thread exits).
+std::uint64_t threadToken() {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t token =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
+
+}  // namespace
+
 RealTimeDriver::RealTimeDriver() : RealTimeDriver(EventLoop::defaultBackend()) {}
 
 RealTimeDriver::RealTimeDriver(EventLoop::Backend backend)
@@ -107,8 +120,22 @@ void RealTimeDriver::wake() {
 
 void RealTimeDriver::drainWakeFd() {
   std::uint64_t buf[16];
+#if defined(__linux__)
+  // One eventfd read returns and resets the whole counter.
+  [[maybe_unused]] ssize_t n = ::read(wakeFd_, buf, sizeof(buf));
+#else
   while (::read(wakeFd_, buf, sizeof(buf)) > 0) {
   }
+#endif
+}
+
+bool RealTimeDriver::onLoopThread() const {
+  const std::uint64_t self = threadToken();
+  // One thread at a time: a caller outside a step while another thread
+  // is inside one would race that step's flush of the send queues.
+  VL_DCHECK(stepping_.load(std::memory_order_relaxed) == 0 ||
+            stepping_.load(std::memory_order_relaxed) == self);
+  return owner_.load(std::memory_order_relaxed) == self;
 }
 
 void RealTimeDriver::post(std::function<void()> fn) {
@@ -144,16 +171,18 @@ void RealTimeDriver::drainPosts() {
 }
 
 void RealTimeDriver::step(int waitTimeoutMs) {
-  const std::thread::id prevLoopThread =
-      loopThread_.load(std::memory_order_relaxed);
-  loopThread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  const std::uint64_t self = threadToken();
+  owner_.store(self, std::memory_order_relaxed);
+  const std::uint64_t outerStep = stepping_.load(std::memory_order_relaxed);
+  stepping_.store(self, std::memory_order_relaxed);
 
   drainPosts();
   if (stepHook_) stepHook_(rawElapsed());
   scheduler_.runUntil(elapsed());
 
-  // Anything the posts or timers queued on the transport leaves now, so
-  // the wait below blocks with empty output buffers.
+  // Anything the owner sent since the last step, and anything the posts
+  // or timers queued, leaves now, so the wait below blocks with empty
+  // output buffers.
   runBeforeWaitHooks();
 
   const int ready = loop_->wait(ready_, waitTimeoutMs);
@@ -183,7 +212,7 @@ void RealTimeDriver::step(int waitTimeoutMs) {
   // send() call.
   runBeforeWaitHooks();
 
-  loopThread_.store(prevLoopThread, std::memory_order_relaxed);
+  stepping_.store(outerStep, std::memory_order_relaxed);
 }
 
 void RealTimeDriver::run(SimDuration forMicros) {

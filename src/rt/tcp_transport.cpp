@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ctime>
 
@@ -38,16 +39,6 @@ void setNoDelay(int fd) {
 void setNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-std::vector<std::uint8_t> frameOf(const net::Message& msg) {
-  std::vector<std::uint8_t> payload = net::encodeMessage(msg);
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + payload.size());
-  auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) frame.push_back((len >> (8 * i)) & 0xff);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
 }
 
 }  // namespace
@@ -90,13 +81,34 @@ TcpTransport::TcpTransport(RealTimeDriver& driver, stats::Metrics& metrics,
 }
 
 TcpTransport::~TcpTransport() {
+  // Frames still queued -- sent by the owner after its last step, or
+  // left by a short write -- get one bounded, nonblocking drain: every
+  // connection shares a deadline of writeStallTimeoutMs. Frames a peer
+  // does not take by then are dropped with a warning.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.writeStallTimeoutMs);
+  std::vector<int> fds;
+  std::size_t dropped = 0;
   for (auto& [fd, conn] : connections_) {
-    driver_.unwatchFd(fd);
-    ::close(fd);
+    fds.push_back(fd);
+    while (flushOnce(conn) == FlushResult::kBlocked) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd p{fd, POLLOUT, 0};
+      if (left.count() <= 0 ||
+          ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+        break;
+      }
+    }
+    dropped += conn.pending.size();
   }
-  for (auto& [node, peer] : peers_) {
-    if (peer.fd >= 0 && connections_.count(peer.fd) == 0) ::close(peer.fd);
+  if (dropped > 0) {
+    VL_LOG_WARN << "tcp: " << dropped
+                << " queued frame(s) dropped at transport teardown";
   }
+  // Every peer fd is a connection (connectPeer registers it), so this
+  // closes them all.
+  for (const int fd : fds) closeConnection(fd);
   if (listenFd_ >= 0) {
     driver_.unwatchFd(listenFd_);
     ::close(listenFd_);
@@ -407,7 +419,7 @@ void TcpTransport::flushAsync(Connection& conn) {
     return;                // the socket drains
   }
   // The peer vanished with frames queued: salvage whole frames and
-  // retry them once on a fresh connection (mirrors the off-loop path's
+  // retry them once on a fresh connection (mirrors the blocking path's
   // reconnect-and-resend).
   const int fd = conn.fd;
   const NodeId node = conn.peerNode;
@@ -469,8 +481,7 @@ void TcpTransport::retryFrames(NodeId node,
 }
 
 bool TcpTransport::trySendFrame(NodeId node, Peer& peer,
-                                const std::vector<std::uint8_t>& frame,
-                                bool async) {
+                                std::vector<std::uint8_t>& frame, bool async) {
   const int fd = connectPeer(node, peer);
   if (fd < 0) return false;
   Connection& conn = connections_.at(fd);
@@ -485,15 +496,18 @@ bool TcpTransport::trySendFrame(NodeId node, Peer& peer,
     return false;
   }
   conn.pendingBytes += frame.size();
-  conn.pending.push_back(frame);  // copy: the caller retries from `frame`
   if (async) {
     // Coalesce: the frame leaves in the driver's next before-wait flush
-    // (same loop iteration), gathered with everything else this
-    // dispatch batch queued. If EPOLLOUT is armed the socket is full;
-    // the flush continuation picks the frame up instead.
+    // (this loop iteration for a handler, the next step for the owner
+    // between steps), gathered with everything else queued by then. If
+    // EPOLLOUT is armed the socket is full; the flush continuation
+    // picks the frame up instead. Moved: an admitted frame is never
+    // retried by the caller.
+    conn.pending.push_back(std::move(frame));
     if (!conn.writeArmed) markDirty(conn);
     return true;
   }
+  conn.pending.push_back(frame);  // copy: the caller retries from `frame`
   if (syncDrain(conn)) return true;
   // Stall or death mid-drain. Close before retrying (exactly-once: the
   // written prefix can never complete on the peer); older frames that
@@ -600,7 +614,7 @@ void TcpTransport::send(net::Message msg) {
     VL_LOG_WARN << "tcp: no route to node " << raw(msg.to);
     return;
   }
-  const std::vector<std::uint8_t> frame = frameOf(msg);
+  std::vector<std::uint8_t> frame = net::encodeFrame(msg);
 
   if (faultHook_ != nullptr) {
     const SendFault fault = faultHook_->onSend(msg.from, msg.to, frame.size());
@@ -626,8 +640,9 @@ void TcpTransport::send(net::Message msg) {
   metrics_.onMessage(msg.from, msg.to, net::payloadTypeIndex(msg.payload),
                      net::wireBytes(msg.payload), driver_.elapsed(),
                      /*delivered=*/true);
-  // Loop-thread sends coalesce (queue now, writev at the flush hook);
-  // off-loop sends keep the historical inline blocking semantics.
+  // The owner's sends coalesce (queue now, writev at the flush hook);
+  // a thread that never stepped the driver keeps the inline blocking
+  // semantics.
   const bool async = driver_.onLoopThread();
   bool sent = trySendFrame(msg.to, peerIt->second, frame, async);
   // Reconnect-and-resend under capped jittered exponential backoff. The

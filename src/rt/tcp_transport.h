@@ -18,20 +18,34 @@
 // frame buffered) counts the abandoned prefix as a rejected frame too.
 //
 // Writes take one of two paths, picked per send() by whether the caller
-// is the driver's loop thread:
-//   * Loop-thread sends (the protocol handlers) append the frame to the
-//     connection's bounded pending queue; the driver's before-wait hook
-//     gathers every queued frame into one writev per connection (syscall
-//     coalescing -- replies generated by a dispatch batch leave in a
-//     single syscall). A short write arms EPOLLOUT and the remainder
-//     flushes when the socket drains; a backlog that exceeds
+// is the driver's owner (RealTimeDriver::onLoopThread(): the thread that
+// last entered step()):
+//   * Owner sends append the frame to the connection's bounded pending
+//     queue; the driver's before-wait hook gathers every queued frame
+//     into one writev per connection (syscall coalescing). Replies that
+//     the protocol handlers generate in a dispatch batch leave in that
+//     same step; requests the owner issues between two steps (an
+//     application thread that reads, then steps the loop) leave in the
+//     next step's first flush. A short write arms EPOLLOUT and the
+//     remainder flushes when the socket drains; a backlog that exceeds
 //     Options::maxPendingWriteBytes marks the peer wedged -- the
 //     connection is aborted, queued frames are counted as failures, and
 //     the bounded retry reconnects fresh (back-pressure by loss, which
 //     the protocols already tolerate).
-//   * Off-loop sends (setup code, tests, the parent harness) keep the
-//     historical blocking semantics: the queue is drained inline,
-//     waiting out short writes up to Options::writeStallTimeoutMs.
+//   * Sends from a thread that never stepped the driver (setup code
+//     before the loop starts, tests, the parent harness) keep the
+//     blocking semantics: the queue is drained inline, waiting out short
+//     writes up to Options::writeStallTimeoutMs, and the frame is on the
+//     wire when send() returns.
+// The destructor gives frames still queued one nonblocking drain, so
+// destroying a transport can block for up to writeStallTimeoutMs on a
+// peer that does not read; frames still queued after that are dropped
+// with a logged warning.
+//
+// A transport is not thread-safe: one thread at a time calls it, the
+// same one that steps its driver (see real_time.h). framesSent() counts
+// a frame when its last byte enters the socket, so an owner's send
+// between steps shows there only after the next step.
 //
 // Exactly-once per frame under the bounded-retry send path: a failed
 // write always closes its connection before the retry, so the peer
@@ -116,8 +130,9 @@ class TcpTransport final : public net::Transport {
     /// Reconnect-and-resend attempts after the first failed send.
     int maxRetries = 1;
     /// How long a mid-frame write waits for POLLOUT before aborting the
-    /// frame (the old hard-coded 1000 ms) -- off-loop sends only; the
-    /// coalesced loop-thread path never blocks (EPOLLOUT re-arm).
+    /// frame (the old hard-coded 1000 ms) -- blocking sends and the
+    /// destructor's drain only; the coalesced owner path never blocks
+    /// (EPOLLOUT re-arm).
     int writeStallTimeoutMs = 1000;
     /// Coalesced-path back-pressure bound: a connection whose pending
     /// queue would exceed this is treated as wedged (aborted, queued
@@ -221,7 +236,7 @@ class TcpTransport final : public net::Transport {
   /// frames are counted in framesSent() as they leave.
   FlushResult flushOnce(Connection& conn);
   /// Drain the pending queue inline, waiting out short writes up to
-  /// writeStallTimeoutMs per stall (the off-loop blocking path).
+  /// writeStallTimeoutMs per stall (the blocking path).
   bool syncDrain(Connection& conn);
   /// Flush a connection from the loop thread; arms/disarms EPOLLOUT and
   /// funnels a dead connection into the salvage-retry path.
@@ -238,8 +253,9 @@ class TcpTransport final : public net::Transport {
   int connectPeer(NodeId node, Peer& peer);
   /// One connect+enqueue(+drain) attempt; on failure the connection is
   /// closed and the peer's fd forgotten so the next attempt reconnects.
-  bool trySendFrame(NodeId node, Peer& peer,
-                    const std::vector<std::uint8_t>& frame, bool async);
+  /// The async path moves `frame` into the queue once it is admitted.
+  bool trySendFrame(NodeId node, Peer& peer, std::vector<std::uint8_t>& frame,
+                    bool async);
   void deliverLocal(const net::Message& msg);
   /// Sleep out the capped jittered exponential backoff before retry
   /// attempt `attempt` (1-based). clock_nanosleep against an absolute

@@ -99,16 +99,6 @@ TEST(RealTimeDriverDrain, PostStopRaceNeverRunsWorkAfterTeardown) {
 
 namespace rawsock {
 
-std::vector<std::uint8_t> frameOf(const net::Message& msg) {
-  std::vector<std::uint8_t> payload = net::encodeMessage(msg);
-  std::vector<std::uint8_t> frame;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    frame.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xff));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
-
 int connectTo(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -154,7 +144,7 @@ TEST(MidFrameDeath, EveryTruncationOffsetRejectsAndDeliversNothing) {
   std::thread loop([&]() { driver.run(); });
 
   const auto frame =
-      rawsock::frameOf(net::Message{from, to, net::Invalidate{makeObjectId(5)}});
+      net::encodeFrame(net::Message{from, to, net::Invalidate{makeObjectId(5)}});
   ASSERT_GT(frame.size(), 8u);
   const std::vector<std::size_t> offsets = {
       2,                 // inside the length header

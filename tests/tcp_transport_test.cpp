@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -439,19 +440,151 @@ TEST(TcpTransportRetry, ReconnectsToRestartedPeerWithoutLosingTheSend) {
   loop.join();
 }
 
+// ---- which thread's sends coalesce ----
+
+/// Records the object of every PollRequest delivered, in arrival order.
+struct OrderSink : net::MessageSink {
+  void deliver(const net::Message& msg) override {
+    std::lock_guard<std::mutex> lock(mu);
+    objs.push_back(raw(std::get<net::PollRequest>(msg.payload).obj));
+  }
+  std::vector<std::uint64_t> arrived() {
+    std::lock_guard<std::mutex> lock(mu);
+    return objs;
+  }
+  std::mutex mu;
+  std::vector<std::uint64_t> objs;
+};
+
+/// A receiving peer on its own loop thread.
+struct PeerLoop {
+  PeerLoop() : transport(driver, metrics, /*port=*/0) {
+    transport.attach(node, &sink);
+    thread = std::thread([this]() { driver.run(); });
+  }
+  ~PeerLoop() {
+    driver.stop();
+    thread.join();
+  }
+  /// Wait (bounded) until `n` frames arrived; returns what arrived.
+  std::vector<std::uint64_t> waitFor(std::size_t n) {
+    for (int i = 0; i < 4000 && sink.arrived().size() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return sink.arrived();
+  }
+
+  const NodeId node = makeNodeId(1);
+  RealTimeDriver driver;
+  stats::Metrics metrics;
+  TcpTransport transport;
+  OrderSink sink;
+  std::thread thread;
+};
+
+net::Message pollFor(std::uint64_t obj) {
+  return net::Message{makeNodeId(0), makeNodeId(1),
+                      net::PollRequest{makeObjectId(obj), 1}};
+}
+
+std::vector<std::uint64_t> iota(std::size_t n) {
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = i;
+  return v;
+}
+
+constexpr std::size_t kBurst = 32;
+
+TEST(TcpTransportOwner, SendsBetweenStepsLeaveInTheNextStep) {
+  // The thread that steps the driver owns it: its sends between two
+  // steps queue like a handler's and leave in the next step's flush.
+  PeerLoop peer;
+  RealTimeDriver driver;
+  stats::Metrics metrics;
+  TcpTransport sender(driver, metrics, /*port=*/0);
+  sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
+  driver.step(0);  // this thread is now the owner
+
+  for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
+  EXPECT_EQ(sender.framesSent(), 0);
+  driver.step(0);
+  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst));
+  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
+  EXPECT_EQ(sender.sendFailures(), 0);
+}
+
+TEST(TcpTransportOwner, ThreadThatNeverSteppedSendsInline) {
+  // Another thread (after the owner stepped, handed over by thread
+  // start and join) keeps the blocking path: each frame is on the wire
+  // before send() returns.
+  PeerLoop peer;
+  RealTimeDriver driver;
+  stats::Metrics metrics;
+  TcpTransport sender(driver, metrics, /*port=*/0);
+  sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
+  driver.step(0);
+
+  std::vector<std::int64_t> sentAfter;
+  std::thread other([&]() {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      sender.send(pollFor(i));
+      sentAfter.push_back(sender.framesSent());
+    }
+  });
+  other.join();
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(sentAfter[i], static_cast<std::int64_t>(i + 1)) << "send " << i;
+  }
+  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
+}
+
+TEST(TcpTransportOwner, OwnershipOutlivesRunUntilAnotherThreadSteps) {
+  // A thread that ran the loop (setup code, say) stays the owner after
+  // run() returns: its sends queue, and stay queued however long it
+  // waits, until it steps again.
+  PeerLoop peer;
+  RealTimeDriver driver;
+  stats::Metrics metrics;
+  TcpTransport sender(driver, metrics, /*port=*/0);
+  sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
+  driver.run(msec(5));
+
+  for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(sender.framesSent(), 0);
+  EXPECT_TRUE(peer.sink.arrived().empty());
+  driver.run(msec(5));
+  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst));
+  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
+
+  // Handing the loop to a thread that runs it makes that thread the
+  // owner; once it is joined, this thread's sends block again.
+  std::thread loop([&]() { driver.run(msec(5)); });
+  loop.join();
+  sender.send(pollFor(kBurst));
+  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst + 1));
+  EXPECT_EQ(peer.waitFor(kBurst + 1), iota(kBurst + 1));
+}
+
+TEST(TcpTransportOwner, DestroyingTheTransportFlushesQueuedFrames) {
+  // The owner sends and then destroys its transport without stepping
+  // again: the destructor's drain still puts every frame on the wire.
+  PeerLoop peer;
+  {
+    RealTimeDriver driver;
+    stats::Metrics metrics;
+    TcpTransport sender(driver, metrics, /*port=*/0);
+    sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
+    driver.step(0);
+    for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
+    EXPECT_EQ(sender.framesSent(), 0);
+  }
+  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
+}
+
 // ---- raw-socket framing tests: the test plays a malfunctioning peer ----
 
 namespace raw {
-
-std::vector<std::uint8_t> frameOf(const net::Message& msg) {
-  std::vector<std::uint8_t> payload = net::encodeMessage(msg);
-  std::vector<std::uint8_t> frame;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    frame.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xff));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
 
 int connectTo(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -521,7 +654,7 @@ TEST(TcpTransportFraming, PeerDyingMidFrameDeliversNothingCorruptionCounted) {
   std::thread loop([&]() { driver.run(); });
 
   const auto frame =
-      raw::frameOf(net::Message{from, to, net::Invalidate{makeObjectId(5)}});
+      net::encodeFrame(net::Message{from, to, net::Invalidate{makeObjectId(5)}});
 
   // 1. Peer killed mid-frame: strictly fewer bytes than the frame.
   {
@@ -592,7 +725,7 @@ TEST(TcpTransportRetry, PartialWriteRetryDeliversFrameExactlyOnce) {
     renew.leases.push_back({makeObjectId(i), 1});
   }
   const net::Message msg{self, peerNode, std::move(renew)};
-  const auto expectedFrame = raw::frameOf(msg);
+  const auto expectedFrame = net::encodeFrame(msg);
 
   std::vector<std::uint8_t> retried;   // bytes of the retry connection
   std::vector<std::uint8_t> aborted;   // bytes of the aborted connection

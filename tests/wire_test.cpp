@@ -158,6 +158,33 @@ TEST(WireTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(decodeMessage(bytes.data(), bytes.size()).has_value());
 }
 
+TEST(WireTest, FrameIsLengthPrefixedMessage) {
+  // encodeFrame() builds [u32 length][encodeMessage() bytes] in one
+  // buffer; the prefix is little-endian like every other field.
+  BatchInvalRenew batch;
+  batch.vol = makeVolumeId(9);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    batch.invalidate.push_back(makeObjectId(i));
+    batch.renew.push_back({makeObjectId(i + 1000), 3, sec(7)});
+  }
+  const Message msgs[] = {
+      wrap(Invalidate{makeObjectId(1)}),
+      wrap(ObjLeaseGrant{makeObjectId(6), 12, sec(100), true, 4096, true,
+                         sec(30), 2}),
+      wrap(std::move(batch)),
+  };
+  for (const Message& msg : msgs) {
+    const auto body = encodeMessage(msg);
+    std::vector<std::uint8_t> expected;
+    const auto len = static_cast<std::uint32_t>(body.size());
+    for (int i = 0; i < 4; ++i)
+      expected.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xff));
+    expected.insert(expected.end(), body.begin(), body.end());
+    EXPECT_EQ(encodeFrame(msg), expected)
+        << "payload " << payloadTypeIndex(msg.payload);
+  }
+}
+
 TEST(WireTest, RejectsBadTypeByte) {
   auto bytes = encodeMessage(wrap(Invalidate{makeObjectId(1)}));
   bytes[8] = 0xff;  // type byte follows the two u32 node ids

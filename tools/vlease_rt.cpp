@@ -39,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -695,18 +696,32 @@ int benchLoopback(const Flags& flags) {
     a.send(std::move(ping));
   }
 
+  // Process CPU time leaves out what a shared host takes away (steal,
+  // time slices given to other tenants), which wall time does not.
+  auto processCpuSec = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  const double cpuStart = processCpuSec();
   const SimTime start = driver.elapsed();
   driver.run(/*forMicros=*/benchMs * 1000);
   const double elapsedSec =
       static_cast<double>(driver.elapsed() - start) / 1e6;
+  const double cpuSec = processCpuSec() - cpuStart;
   const std::int64_t messages = sinkA.received() + sinkB.received();
   const double perSec =
       elapsedSec > 0 ? static_cast<double>(messages) / elapsedSec : 0.0;
+  const double perCpuSec =
+      cpuSec > 0 ? static_cast<double>(messages) / cpuSec : 0.0;
 
   std::printf("{\"benchmark\": \"RtLoopback\", \"messages\": %lld, "
               "\"seconds\": %.3f, \"messages_per_second\": %.0f, "
+              "\"cpu_seconds\": %.3f, \"messages_per_cpu_second\": %.0f, "
               "\"frames_sent\": %lld, \"frames_received\": %lld}\n",
-              static_cast<long long>(messages), elapsedSec, perSec,
+              static_cast<long long>(messages), elapsedSec, perSec, cpuSec,
+              perCpuSec,
               static_cast<long long>(a.framesSent() + b.framesSent()),
               static_cast<long long>(a.framesReceived() +
                                      b.framesReceived()));
