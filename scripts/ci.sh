@@ -56,6 +56,15 @@ build/tools/vlease_chaos --seeds 8 --intensity low --skew medium \
 build/tools/vlease_chaos --seeds 8 --intensity low --migrate \
   --algorithms volume,delay
 
+# Delayed Invalidations with a finite discard bound d: Inactive clients
+# whose pending lists age past d drop to Unreachable and must return
+# through the reconnection exchange, under low faults and under high
+# faults with migrations.
+build/tools/vlease_chaos --algorithms delay --discard-sec 60 --seeds 8 \
+  --intensity low
+build/tools/vlease_chaos --algorithms delay --discard-sec 10 --seeds 16 \
+  --intensity high --migrate
+
 # Negative control: the identical migrations with the adopter's epoch
 # bump skipped leave pre-migration leases valid, so the oracle MUST
 # report violations -- otherwise the federation gate is vacuous.

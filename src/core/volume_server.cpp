@@ -160,6 +160,33 @@ void VolumeServer::discardPending(VolState& st, std::uint32_t ci) {
   releaseInactive(st, ci);
 }
 
+void VolumeServer::queueInvalidation(VolState& v, std::uint32_t ci,
+                                     ObjectId obj, SimTime volExpiredAt,
+                                     SimTime now) {
+  if (config_.inactiveDiscard != kNever &&
+      now > addSat(volExpiredAt, config_.inactiveDiscard)) {
+    discardPending(v, ci);
+    setUnreach(v, ci);
+    return;
+  }
+  auto [in, inserted] = v.inactive.tryEmplace(ci);
+  if (inserted) {
+    in->volExpiredAt = volExpiredAt;
+    if (in->pending.capacity() == 0 && !pendingMsgPool_.empty()) {
+      in->pending = std::move(pendingMsgPool_.back());
+      pendingMsgPool_.pop_back();
+    }
+  }
+  // The list is a set: a second invalidation of an object already pending
+  // carries no information, so the first entry (and its enqueue time)
+  // stands. The list is short (objects of v the client caches): scan it.
+  for (const PendingMsg& pm : in->pending) {
+    if (pm.obj == obj) return;
+  }
+  in->pending.push_back(
+      PendingMsg{obj, now, addSat(in->volExpiredAt, config_.inactiveDiscard)});
+}
+
 void VolumeServer::demoteIfExpired(VolState& st, std::uint32_t ci,
                                    SimTime now) {
   if (config_.inactiveDiscard == kNever) return;
@@ -463,6 +490,8 @@ void VolumeServer::startFlush(NodeId client, VolumeId volId) {
   for (PendingMsg& pm : in->pending) {
     stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
                         now);
+    VL_DCHECK(std::find(batch.invalidate.begin(), batch.invalidate.end(),
+                        pm.obj) == batch.invalidate.end());  // a set
     batch.invalidate.push_back(pm.obj);
   }
   in->pending.clear();
@@ -658,24 +687,9 @@ void VolumeServer::startWrite(ObjectId obj, WriteCallback cb,
       immediate.push_back(clientNode(ci));
       return;
     }
-    const SimTime volExpiredAt =
-        vRec != nullptr ? vRec->expire : sweptVolExpire(v, ci, now);
-    if (config_.inactiveDiscard != kNever &&
-        now > addSat(volExpiredAt, config_.inactiveDiscard)) {
-      discardPending(v, ci);
-      setUnreach(v, ci);
-      return;
-    }
-    auto [in, inserted] = v.inactive.tryEmplace(ci);
-    if (inserted) {
-      in->volExpiredAt = volExpiredAt;
-      if (in->pending.capacity() == 0 && !pendingMsgPool_.empty()) {
-        in->pending = std::move(pendingMsgPool_.back());
-        pendingMsgPool_.pop_back();
-      }
-    }
-    in->pending.push_back(PendingMsg{
-        obj, now, addSat(in->volExpiredAt, config_.inactiveDiscard)});
+    queueInvalidation(
+        v, ci, obj, vRec != nullptr ? vRec->expire : sweptVolExpire(v, ci, now),
+        now);
   });
 
   if (immediate.empty() && skipBound <= now) {
@@ -748,25 +762,10 @@ void VolumeServer::commitWrite(ObjectId obj) {
       if (isUnreach(v, ci)) return;
       if (mode_ == InvalidationMode::kDelayed) {
         const LeaseRecord* vRec = v.holders.find(ci);
-        const SimTime volExpiredAt =
-            vRec != nullptr ? std::min(vRec->expire, now)
-                            : sweptVolExpire(v, ci, now);
-        if (config_.inactiveDiscard != kNever &&
-            now > addSat(volExpiredAt, config_.inactiveDiscard)) {
-          discardPending(v, ci);
-          setUnreach(v, ci);
-          return;
-        }
-        auto [in, inserted] = v.inactive.tryEmplace(ci);
-        if (inserted) {
-          in->volExpiredAt = volExpiredAt;
-          if (in->pending.capacity() == 0 && !pendingMsgPool_.empty()) {
-            in->pending = std::move(pendingMsgPool_.back());
-            pendingMsgPool_.pop_back();
-          }
-        }
-        in->pending.push_back(PendingMsg{
-            obj, now, addSat(in->volExpiredAt, config_.inactiveDiscard)});
+        queueInvalidation(v, ci, obj,
+                          vRec != nullptr ? std::min(vRec->expire, now)
+                                          : sweptVolExpire(v, ci, now),
+                          now);
       } else {
         setUnreach(v, ci);
       }

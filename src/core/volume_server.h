@@ -12,7 +12,8 @@
 //
 //   * kDelayed ("Volume Leases with Delayed Invalidations"): holders
 //     whose volume lease has expired are not contacted (cost C_v).
-//     Their invalidations queue on a per-client Pending list; the batch
+//     Their invalidations queue on a per-client Pending list, one entry
+//     per object however often it is written meanwhile; the batch
 //     is delivered -- and acknowledged -- when the client next renews
 //     the volume. After d seconds of inactivity the client moves to
 //     Unreachable and its pending list is discarded.
@@ -350,6 +351,11 @@ class VolumeServer final : public proto::ServerNode {
   void removeVolHolder(VolState& st, std::uint32_t ci);
   /// Accrue and drop a client's pending list, recycling its storage.
   void discardPending(VolState& st, std::uint32_t ci);
+  /// Queue an invalidation of `obj` on Inactive client `ci`'s pending
+  /// list unless it is already there; past the discard bound d the
+  /// client moves to Unreachable instead.
+  void queueInvalidation(VolState& v, std::uint32_t ci, ObjectId obj,
+                         SimTime volExpiredAt, SimTime now);
   /// Drop an (empty-pending) Inactive entry, recycling its storage.
   void releaseInactive(VolState& st, std::uint32_t ci);
   /// Move an inactive-past-d client to Unreachable (lazy d enforcement).

@@ -90,6 +90,17 @@ void RefVolumeServer::discardPending(VolState& st, NodeId client) {
   st.inactive.erase(it);
 }
 
+void RefVolumeServer::queuePending(InactiveClient& in, ObjectId obj,
+                                   SimTime now) {
+  // A pending list is a set: a repeat invalidation keeps the first entry.
+  const bool queued =
+      std::any_of(in.pending.begin(), in.pending.end(),
+                  [obj](const PendingMsg& pm) { return pm.obj == obj; });
+  if (queued) return;
+  in.pending.push_back(
+      PendingMsg{obj, now, addSat(in.volExpiredAt, config_.inactiveDiscard)});
+}
+
 void RefVolumeServer::demoteIfExpired(VolState& st, NodeId client, SimTime now) {
   if (config_.inactiveDiscard == kNever) return;
   auto it = st.inactive.find(client);
@@ -532,8 +543,7 @@ void RefVolumeServer::startWrite(ObjectId obj, WriteCallback cb,
     auto [inIt, inserted] =
         v.inactive.try_emplace(client, InactiveClient{volExpiredAt, {}});
     (void)inserted;
-    inIt->second.pending.push_back(PendingMsg{
-        obj, now, addSat(inIt->second.volExpiredAt, config_.inactiveDiscard)});
+    queuePending(inIt->second, obj, now);
   }
 
   if (immediate.empty() && skipBound <= now) {
@@ -604,10 +614,7 @@ void RefVolumeServer::commitWrite(ObjectId obj) {
         auto [inIt, inserted] =
             v.inactive.try_emplace(client, InactiveClient{volExpiredAt, {}});
         (void)inserted;
-        inIt->second.pending.push_back(
-            PendingMsg{obj, now,
-                       addSat(inIt->second.volExpiredAt,
-                              config_.inactiveDiscard)});
+        queuePending(inIt->second, obj, now);
       } else {
         v.unreachable.insert(client);
       }

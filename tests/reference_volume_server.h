@@ -178,6 +178,8 @@ class RefVolumeServer final : public proto::ServerNode {
   void removeObjHolder(ObjState& st, NodeId client);
   void removeVolHolder(VolState& st, NodeId client);
   void discardPending(VolState& st, NodeId client);
+  /// Append `obj` to `in`'s pending list unless it is already there.
+  void queuePending(InactiveClient& in, ObjectId obj, SimTime now);
   /// Move an inactive-past-d client to Unreachable (lazy d enforcement).
   void demoteIfExpired(VolState& st, NodeId client, SimTime now);
 

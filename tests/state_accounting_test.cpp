@@ -90,6 +90,26 @@ TEST(StateAccountingTest, PendingMessageChargedUntilFlush) {
   EXPECT_NEAR(avgState(h, sec(2000)), expected, 0.01);
 }
 
+TEST(StateAccountingTest, RepeatedWritesChargeOnePendingRecord) {
+  // As above, with a second write to the same object at t=200: the
+  // pending list is a set, so the one record from t=100 stands and is
+  // charged over [100,400) -- not a second record over [200,400).
+  ProtoHarness h(cfg(Algorithm::kVolumeDelayedInval, 1000, 10));
+  h.read(0, 0);
+  h.advanceTo(sec(100));
+  h.write(0);
+  h.advanceTo(sec(200));
+  h.write(0);
+  EXPECT_EQ(dynamic_cast<core::VolumeServer&>(h.serverNode(0))
+                .pendingMessageCount(h.client(0), makeVolumeId(0)),
+            1u);
+  h.advanceTo(sec(400));
+  h.read(0, 0);  // flush + volume grant + object re-fetch
+  h.advanceTo(sec(2000));
+  const double expected = (kB * 1400 + kB * (10 + 10) + kB * 300) / 2000.0;
+  EXPECT_NEAR(avgState(h, sec(2000)), expected, 0.01);
+}
+
 TEST(StateAccountingTest, DiscardedPendingChargedOnlyUntilD) {
   // d = 50: client inactive since t=10 (volume expiry); a write at 100
   // queues a pending message, but the accrual horizon for that record is

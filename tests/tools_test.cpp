@@ -9,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "trace/trace_io.h"
 
 namespace vlease {
@@ -25,19 +27,31 @@ std::string toolPath(const std::string& name) {
 
 bool toolsAvailable() { return !toolPath("vlsim").empty(); }
 
+// A temp-file path no other test process can share: ctest runs each
+// TEST as its own process under -j, and a Release and a Debug tree may
+// run the same suite at once, all under one TempDir().
+std::string uniqueTempPath(const std::string& suffix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + info->test_suite_name() + "." +
+         info->name() + "." + std::to_string(::getpid()) + suffix;
+}
+
 int runTool(const std::string& cmd, std::string* output) {
-  const std::string file = ::testing::TempDir() + "/tool_out.txt";
+  const std::string file = uniqueTempPath(".out");
   const int rc = std::system((cmd + " > " + file + " 2>&1").c_str());
-  std::ifstream in(file);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  *output = ss.str();
+  {
+    std::ifstream in(file);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    *output = ss.str();
+  }
+  std::remove(file.c_str());
   return rc;
 }
 
 TEST(ToolsTest, TracegenProducesLoadableTrace) {
   if (!toolsAvailable()) GTEST_SKIP() << "tools not in ./tools";
-  const std::string path = ::testing::TempDir() + "/smoke.vlt";
+  const std::string path = uniqueTempPath(".vlt");
   std::string out;
   ASSERT_EQ(runTool(toolPath("vltracegen") + " --out " + path +
                         " --scale 0.003 --servers 50 --clients 5 --days 30",
@@ -52,11 +66,12 @@ TEST(ToolsTest, TracegenProducesLoadableTrace) {
   EXPECT_EQ(loaded->catalog.numServers(), 50u);
   EXPECT_EQ(loaded->catalog.numClients(), 5u);
   EXPECT_GT(loaded->events.size(), 100u);
+  std::remove(path.c_str());
 }
 
 TEST(ToolsTest, SimConsumesTraceFile) {
   if (!toolsAvailable()) GTEST_SKIP() << "tools not in ./tools";
-  const std::string path = ::testing::TempDir() + "/smoke2.vlt";
+  const std::string path = uniqueTempPath(".vlt");
   std::string out;
   ASSERT_EQ(runTool(toolPath("vltracegen") + " --out " + path +
                         " --scale 0.003 --servers 50 --clients 5 --days 30",
@@ -72,6 +87,7 @@ TEST(ToolsTest, SimConsumesTraceFile) {
   EXPECT_NE(out.find("busiest servers"), std::string::npos);
   // Strong consistency on the tool path too.
   EXPECT_NE(out.find("0 stale"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(ToolsTest, SimCsvOutputParses) {

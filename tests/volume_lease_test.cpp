@@ -377,6 +377,55 @@ TEST(DelayedInvalTest, BatchingSavesMessages) {
   EXPECT_EQ(h.metrics().totalMessages(), beforeRenew + 6);
 }
 
+// Two writes to object 0 while client 0 is Inactive queue ONE pending
+// invalidation; its flush (triggered by reading the unmodified object 1)
+// names object 0 once: REQ_VOL + BATCH(vol, {0}) + ACK_BATCH + VOL_LEASE.
+void expectOnePendingInvalidation(ProtoHarness& h) {
+  EXPECT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  const std::int64_t bytesBefore = h.metrics().totalBytes();
+  const std::int64_t batchesBefore = h.metrics().messagesOfType(
+      net::payloadIndex<net::BatchInvalRenew>());
+  auto r = h.read(0, 1);
+  EXPECT_FALSE(r.fetchedData);
+  EXPECT_EQ(h.metrics().messagesOfType(
+                net::payloadIndex<net::BatchInvalRenew>()),
+            batchesBefore + 1);
+  const std::int64_t batchBytes =
+      h.metrics().totalBytes() - bytesBefore -
+      net::wireBytes(net::ReqVolLease{kVol, 1}) -
+      net::wireBytes(net::AckBatch{kVol}) -
+      net::wireBytes(net::VolLeaseGrant{kVol, 0, 1});
+  EXPECT_EQ(batchBytes, net::kHeaderBytes + 2 * net::kFieldBytes);
+  auto r0 = h.read(0, 0);
+  EXPECT_TRUE(r0.fetchedData);
+  EXPECT_EQ(r0.version, 3);
+  EXPECT_EQ(h.metrics().staleReads(), 0);
+}
+
+TEST(DelayedInvalTest, RepeatedWritesQueueOneInvalidation) {
+  ProtoHarness h(delayConfig(), 1, 2, /*objectsPerVolume=*/2);
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));  // volume lease expired; object leases valid
+  h.write(0);
+  h.advanceTo(sec(70));
+  h.write(0);
+  expectOnePendingInvalidation(h);
+}
+
+TEST(DelayedInvalTest, RepeatedByExpiryCommitsQueueOneInvalidation) {
+  ProtocolConfig config = delayConfig();
+  config.writeByLeaseExpiry = true;
+  ProtoHarness h(config, 1, 2, /*objectsPerVolume=*/2);
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));
+  h.write(0);  // volume lease drained: commits now, queues at commit
+  h.advanceTo(sec(70));
+  h.write(0);
+  expectOnePendingInvalidation(h);
+}
+
 TEST(DelayedInvalTest, DiscardAfterDMovesClientToUnreachable) {
   ProtoHarness h(delayConfig(sec(100)));
   h.read(0, 0);

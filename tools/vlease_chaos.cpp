@@ -16,6 +16,8 @@
 //   $ vlease_chaos --seeds 8 --migrate              # online handoff: clean
 //   $ vlease_chaos --seeds 4 --migrate --break-epoch-handoff  # must bark
 //   $ vlease_chaos --seeds 8 --cache-capacity 2     # LRU eviction: clean
+//   $ vlease_chaos --seeds 8 --algorithms delay --discard-sec 60
+//   $ vlease_chaos --seeds 8 --by-expiry            # invalidate by waiting
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -62,6 +64,16 @@ std::optional<SimDuration> parseSkew(const std::string& name) {
   if (name == "medium") return sec(5);
   if (name == "high") return sec(10);
   return std::nullopt;
+}
+
+/// Inactive-discard bound d in whole seconds: "inf" (the default, the
+/// paper's d = infinity) or a non-negative integer of at most 9 digits.
+std::optional<SimDuration> parseDiscard(const std::string& text) {
+  if (text == "inf") return kNever;
+  if (text.empty() || text.size() > 9 ||
+      text.find_first_not_of("0123456789") != std::string::npos)
+    return std::nullopt;
+  return sec(std::stoll(text));
 }
 
 std::vector<std::string> splitCsv(const std::string& s) {
@@ -122,6 +134,13 @@ int main(int argc, char** argv) {
   flags.addInt("cache-capacity", 0,
                "client cache entries before LRU eviction (0 = the "
                "paper's infinite caches)");
+  flags.addBool("by-expiry", false,
+                "writes invalidate by waiting out leases instead of "
+                "sending invalidations (writeByLeaseExpiry)");
+  flags.addString("discard-sec", "inf",
+                  "Delayed Invalidations: seconds an Inactive client "
+                  "keeps its pending list before it becomes Unreachable "
+                  "(inactiveDiscard d; inf = never)");
   driver::addRunnerFlags(flags);  // --threads --csv --json
   if (!flags.parse(argc, argv)) return 1;
 
@@ -161,6 +180,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--cache-capacity must be >= 0\n");
     return 1;
   }
+
+  const auto discard = parseDiscard(flags.getString("discard-sec"));
+  if (!discard) {
+    std::fprintf(stderr,
+                 "--discard-sec must be a non-negative integer or inf, "
+                 "got '%s'\n",
+                 flags.getString("discard-sec").c_str());
+    return 1;
+  }
+  const bool byExpiry = flags.getBool("by-expiry");
 
   const bool migrate = flags.getBool("migrate");
   const bool breakEpochHandoff = flags.getBool("break-epoch-handoff");
@@ -221,6 +250,8 @@ int main(int argc, char** argv) {
   base.faultInjectIgnoreInvalidations = flags.getBool("break-invalidation");
   base.leaseSweepPeriod = msec(flags.getInt("sweep-ms"));
   base.clientCacheCapacity = static_cast<std::size_t>(cacheCapacity);
+  base.writeByLeaseExpiry = byExpiry;
+  base.inactiveDiscard = *discard;
 
   // Fixed migration schedule shared by every seed (the fault plans
   // vary per seed, so across the sweep the handoffs land inside many
@@ -308,7 +339,7 @@ int main(int argc, char** argv) {
   if (!flags.getBool("csv") && !flags.getBool("json")) {
     std::printf("\nintensity=%s skew=%s epsilon=%s servers=%lld "
                 "volumes/server=%lld migrate=%s cache=%lld "
-                "seeds=%lld..%lld  "
+                "by-expiry=%s discard=%s seeds=%lld..%lld  "
                 "(%zu plans x %zu "
                 "algorithms, %lld reads, %lld writes)\n",
                 flags.getString("intensity").c_str(),
@@ -318,6 +349,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(flags.getInt("volumes-per-server")),
                 migrate ? (breakEpochHandoff ? "broken" : "on") : "off",
                 static_cast<long long>(cacheCapacity),
+                byExpiry ? "on" : "off",
+                *discard == kNever ? "inf" : formatSimTime(*discard).c_str(),
                 static_cast<long long>(seedBase),
                 static_cast<long long>(seedBase + seeds - 1),
                 static_cast<std::size_t>(seeds), algorithms.size(),
