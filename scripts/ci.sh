@@ -65,6 +65,17 @@ build/tools/vlease_chaos --algorithms delay --discard-sec 60 --seeds 8 \
 build/tools/vlease_chaos --algorithms delay --discard-sec 10 --seeds 16 \
   --intensity high --migrate
 
+# Client churn and a flash crowd on top of high faults and migrations:
+# departed clients leave Inactive entries and pending lists behind, and
+# the crowd renews through flushes and reconnections.
+build/tools/vlease_chaos --algorithms volume,delay --seeds 16 \
+  --intensity high --migrate --churn-sec 60 --flash-crowd 4
+
+# Piggybacked volume renewals under Volume Leases. Delay + piggyback
+# has no point yet: it still reads stale (ROADMAP item 1).
+build/tools/vlease_chaos --algorithms volume --piggyback --seeds 16 \
+  --intensity high --migrate
+
 # Negative control: the identical migrations with the adopter's epoch
 # bump skipped leave pre-migration leases valid, so the oracle MUST
 # report violations -- otherwise the federation gate is vacuous.

@@ -20,6 +20,7 @@ VolumeServer::VolumeServer(proto::ProtocolContext& ctx, NodeId id,
       numClients_(ctx.catalog.numClients()),
       volumes_(ctx.catalog.volumesOnServer(id)),
       objects_(ctx.catalog.objectsOnServer(id)),
+      queuedWords_((numClients_ + 63) / 64),
       volOwnedNative_(volumes_.size(), 1),
       objOwnedNative_(objects_.size(), 1) {}
 
@@ -139,36 +140,60 @@ const VolumeServer::LeaseRecord& VolumeServer::renewHolder(
   return *rec;
 }
 
+void VolumeServer::accruePending(InactiveClient& in, SimTime now) {
+  for (PendingMsg& pm : in.pending) {
+    stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
+                        now);
+  }
+}
+
+void VolumeServer::recyclePending(std::uint32_t ci, InactiveClient& in) {
+  for (const PendingMsg& pm : in.pending) clearQueued(objState(pm.obj), ci);
+  in.pending.clear();
+  if (in.pending.capacity() > 0) {
+    pendingMsgPool_.push_back(std::move(in.pending));
+  }
+}
+
+bool VolumeServer::onPendingList(const VolState& v, std::uint32_t ci,
+                                 ObjectId obj) const {
+  const InactiveClient* in = v.inactive.find(ci);
+  return in != nullptr &&
+         std::any_of(in->pending.begin(), in->pending.end(),
+                     [obj](const PendingMsg& pm) { return pm.obj == obj; });
+}
+
 void VolumeServer::releaseInactive(VolState& st, std::uint32_t ci) {
   InactiveClient* in = st.inactive.find(ci);
   if (in == nullptr) return;
-  in->pending.clear();
-  if (in->pending.capacity() > 0) {
-    pendingMsgPool_.push_back(std::move(in->pending));
-  }
+  recyclePending(ci, *in);
   st.inactive.erase(ci);
 }
 
 void VolumeServer::discardPending(VolState& st, std::uint32_t ci) {
   InactiveClient* in = st.inactive.find(ci);
   if (in == nullptr) return;
-  const SimTime now = ctx_.scheduler.now();
-  for (PendingMsg& pm : in->pending) {
-    stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
-                        now);
-  }
+  accruePending(*in, ctx_.scheduler.now());
   releaseInactive(st, ci);
 }
 
-void VolumeServer::queueInvalidation(VolState& v, std::uint32_t ci,
-                                     ObjectId obj, SimTime volExpiredAt,
-                                     SimTime now) {
+void VolumeServer::queueInvalidation(VolState& v, ObjState& st,
+                                     std::uint32_t ci, ObjectId obj,
+                                     SimTime volExpiredAt, SimTime now) {
   if (config_.inactiveDiscard != kNever &&
       now > addSat(volExpiredAt, config_.inactiveDiscard)) {
     discardPending(v, ci);
     setUnreach(v, ci);
     return;
   }
+  // The list is a set: a second invalidation of an object already pending
+  // carries no information, so the first entry (and its enqueue time)
+  // stands. The queued bit says whether the object is already there.
+  if (isQueued(st, ci)) {
+    VL_DCHECK(onPendingList(v, ci, obj));
+    return;
+  }
+  VL_DCHECK(!onPendingList(v, ci, obj));
   auto [in, inserted] = v.inactive.tryEmplace(ci);
   if (inserted) {
     in->volExpiredAt = volExpiredAt;
@@ -177,14 +202,9 @@ void VolumeServer::queueInvalidation(VolState& v, std::uint32_t ci,
       pendingMsgPool_.pop_back();
     }
   }
-  // The list is a set: a second invalidation of an object already pending
-  // carries no information, so the first entry (and its enqueue time)
-  // stands. The list is short (objects of v the client caches): scan it.
-  for (const PendingMsg& pm : in->pending) {
-    if (pm.obj == obj) return;
-  }
   in->pending.push_back(
       PendingMsg{obj, now, addSat(in->volExpiredAt, config_.inactiveDiscard)});
+  setQueued(st, ci);
 }
 
 void VolumeServer::demoteIfExpired(VolState& st, std::uint32_t ci,
@@ -487,12 +507,12 @@ void VolumeServer::startFlush(NodeId client, VolumeId volId) {
 
   net::BatchInvalRenew batch{};
   batch.vol = volId;
-  for (PendingMsg& pm : in->pending) {
-    stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
-                        now);
+  accruePending(*in, now);
+  for (const PendingMsg& pm : in->pending) {
     VL_DCHECK(std::find(batch.invalidate.begin(), batch.invalidate.end(),
                         pm.obj) == batch.invalidate.end());  // a set
     batch.invalidate.push_back(pm.obj);
+    clearQueued(objState(pm.obj), ci);
   }
   in->pending.clear();
 
@@ -652,8 +672,22 @@ void VolumeServer::startWrite(ObjectId obj, WriteCallback cb,
   SimTime skipBound = graceExpire(v.handoffBound) > now
                           ? graceExpire(v.handoffBound)
                           : kSimTimeMin;
+  // A holder already queued for obj (only Delayed mode queues) owes this
+  // write nothing. It has no open session (opening one empties the list)
+  // and no live volume lease (a grant flushes or releases the list
+  // first), so the code below would reach a no-op queueInvalidation or,
+  // for an Unreachable holder, leave skipBound alone. Not with a finite
+  // d, though: there queueInvalidation may demote the holder.
+  const bool skipQueued = config_.inactiveDiscard == kNever;
   st.holders.forEach([&](std::uint32_t ci, LeaseRecord& record) {
     if (graceExpire(record.expire) <= now) return;  // lease expired
+    if (skipQueued && isQueued(st, ci)) {
+      VL_DCHECK(onPendingList(v, ci, obj) &&
+                findSession(ci, volId) == nullptr &&
+                (v.holders.find(ci) == nullptr ||
+                 graceExpire(v.holders.find(ci)->expire) <= now));
+      return;
+    }
 
     // A client mid-exchange (reconnection or pending-list flush) is
     // provably reachable RIGHT NOW and may have object-lease renewals
@@ -688,8 +722,8 @@ void VolumeServer::startWrite(ObjectId obj, WriteCallback cb,
       return;
     }
     queueInvalidation(
-        v, ci, obj, vRec != nullptr ? vRec->expire : sweptVolExpire(v, ci, now),
-        now);
+        v, st, ci, obj,
+        vRec != nullptr ? vRec->expire : sweptVolExpire(v, ci, now), now);
   });
 
   if (immediate.empty() && skipBound <= now) {
@@ -762,7 +796,7 @@ void VolumeServer::commitWrite(ObjectId obj) {
       if (isUnreach(v, ci)) return;
       if (mode_ == InvalidationMode::kDelayed) {
         const LeaseRecord* vRec = v.holders.find(ci);
-        queueInvalidation(v, ci, obj,
+        queueInvalidation(v, st, ci, obj,
                           vRec != nullptr ? std::min(vRec->expire, now)
                                           : sweptVolExpire(v, ci, now),
                           now);
@@ -903,15 +937,9 @@ proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
     stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
   });
   v.holders.clear();
-  v.inactive.forEach([&](std::uint32_t, InactiveClient& in) {
-    for (PendingMsg& pm : in.pending) {
-      stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
-                          now);
-    }
-    in.pending.clear();
-    if (in.pending.capacity() > 0) {
-      pendingMsgPool_.push_back(std::move(in.pending));
-    }
+  v.inactive.forEach([&](std::uint32_t ci, InactiveClient& in) {
+    accruePending(in, now);
+    recyclePending(ci, in);
   });
   v.inactive.clear();
   std::fill(v.unreachable.begin(), v.unreachable.end(), 0);
@@ -1015,15 +1043,9 @@ void VolumeServer::crashAndReboot() {
       stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
     });
     v.holders.clear();
-    v.inactive.forEach([&](std::uint32_t, InactiveClient& in) {
-      for (PendingMsg& pm : in.pending) {
-        stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
-                            now);
-      }
-      in.pending.clear();
-      if (in.pending.capacity() > 0) {
-        pendingMsgPool_.push_back(std::move(in.pending));
-      }
+    v.inactive.forEach([&](std::uint32_t ci, InactiveClient& in) {
+      accruePending(in, now);
+      recyclePending(ci, in);
     });
     v.inactive.clear();
     // the epoch check re-detects stale clients, so Unreachable resets
@@ -1142,12 +1164,8 @@ void VolumeServer::finalizeAccounting(SimTime now) {
     v.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
       stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
     });
-    v.inactive.forEach([&](std::uint32_t, InactiveClient& in) {
-      for (PendingMsg& pm : in.pending) {
-        stats::accrueRecord(ctx_.metrics, id(), pm.lastAccounted, pm.discardAt,
-                            now);
-      }
-    });
+    v.inactive.forEach(
+        [&](std::uint32_t, InactiveClient& in) { accruePending(in, now); });
   });
   forEachOwnedObj([&](ObjState& st) {
     st.holders.forEach([&](std::uint32_t, LeaseRecord& r) {

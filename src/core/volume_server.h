@@ -43,7 +43,11 @@
 // table, and the Unreachable set are keyed by the dense client index;
 // in-flight writes live in a recycled slot pool referenced from the
 // object's state; sessions use a packed (client, volume) 64-bit key in
-// a util::FlatMap. Steady-state protocol traffic allocates nothing.
+// a util::FlatMap. Which objects wait on which client's pending list is
+// mirrored in one server-wide bitmap -- a row of client bits per object
+// that was ever queued, its index kept in the object's state -- so a
+// write answers "already pending?" with one load. Steady-state protocol
+// traffic allocates nothing.
 #pragma once
 
 #include <vector>
@@ -178,7 +182,13 @@ class VolumeServer final : public proto::ServerNode {
     util::LifoIndexMap<LeaseRecord> holders;  // by client index
     /// Slot of the in-flight write in pwPool_, kNilIdx when none.
     std::uint32_t pendingWrite = util::kNilIdx;
+    /// This object's row of queuedBits_, assigned when it is first
+    /// queued on a pending list; kNilIdx while it never was.
+    std::uint32_t queuedRow = util::kNilIdx;
   };
+  // queuedRow fills the padding after pendingWrite: one ObjState per
+  // object, so growing it shows in peak RSS.
+  static_assert(sizeof(ObjState) <= 96, "ObjState grew");
   /// Pool slot for an in-flight write. Slots are recycled; the byte-per-
   /// client `waiting` mask is all-zero between uses (ack handling and
   /// commit clear the bits they consume).
@@ -351,12 +361,45 @@ class VolumeServer final : public proto::ServerNode {
   void removeVolHolder(VolState& st, std::uint32_t ci);
   /// Accrue and drop a client's pending list, recycling its storage.
   void discardPending(VolState& st, std::uint32_t ci);
-  /// Queue an invalidation of `obj` on Inactive client `ci`'s pending
-  /// list unless it is already there; past the discard bound d the
-  /// client moves to Unreachable instead.
-  void queueInvalidation(VolState& v, std::uint32_t ci, ObjectId obj,
-                         SimTime volExpiredAt, SimTime now);
-  /// Drop an (empty-pending) Inactive entry, recycling its storage.
+  /// Queue an invalidation of `obj` (whose state is `st`) on Inactive
+  /// client `ci`'s pending list unless it is already there; past the
+  /// discard bound d the client moves to Unreachable instead.
+  void queueInvalidation(VolState& v, ObjState& st, std::uint32_t ci,
+                         ObjectId obj, SimTime volExpiredAt, SimTime now);
+  /// Accrue every record on `in`'s pending list up to `now`.
+  void accruePending(InactiveClient& in, SimTime now);
+  /// Empty `ci`'s pending list, clearing the queued bit of every entry,
+  /// and return the list's storage to the pool.
+  void recyclePending(std::uint32_t ci, InactiveClient& in);
+  /// Whether `obj` waits on Inactive client `ci`'s pending list.
+  bool onPendingList(const VolState& v, std::uint32_t ci,
+                     ObjectId obj) const;
+
+  // ---- queued bits: obj is on ci's pending list iff its bit is set ----
+  bool isQueued(const ObjState& st, std::uint32_t ci) const {
+    return st.queuedRow != util::kNilIdx &&
+           (queuedBits_[queuedWord(st, ci)] & queuedMask(ci)) != 0;
+  }
+  void setQueued(ObjState& st, std::uint32_t ci) {
+    if (st.queuedRow == util::kNilIdx) {
+      st.queuedRow =
+          static_cast<std::uint32_t>(queuedBits_.size() / queuedWords_);
+      queuedBits_.resize(queuedBits_.size() + queuedWords_, 0);
+    }
+    queuedBits_[queuedWord(st, ci)] |= queuedMask(ci);
+  }
+  void clearQueued(const ObjState& st, std::uint32_t ci) {
+    VL_DCHECK(st.queuedRow != util::kNilIdx);
+    queuedBits_[queuedWord(st, ci)] &= ~queuedMask(ci);
+  }
+  std::size_t queuedWord(const ObjState& st, std::uint32_t ci) const {
+    return std::size_t{st.queuedRow} * queuedWords_ + ci / 64;
+  }
+  static std::uint64_t queuedMask(std::uint32_t ci) {
+    return std::uint64_t{1} << (ci % 64);
+  }
+
+  /// Drop an Inactive entry, recycling its storage.
   void releaseInactive(VolState& st, std::uint32_t ci);
   /// Move an inactive-past-d client to Unreachable (lazy d enforcement).
   void demoteIfExpired(VolState& st, std::uint32_t ci, SimTime now);
@@ -400,6 +443,13 @@ class VolumeServer final : public proto::ServerNode {
 
   std::vector<VolState> volumes_;  // by catalog localIndex
   std::vector<ObjState> objects_;  // by catalog localIndex
+
+  /// Delayed mode: bit ci of row ObjState::queuedRow is set iff that
+  /// object waits on client ci's pending list. Row-major, queuedWords_
+  /// words per row; a row is appended when its object is first queued
+  /// and kept, so only written-while-Inactive objects cost a row.
+  std::vector<std::uint64_t> queuedBits_;
+  const std::uint32_t queuedWords_;  // ceil(numClients_ / 64)
 
   // ---- federation ownership ----
   // Native slots (above) stay addressed by catalog localIndex so the

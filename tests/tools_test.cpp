@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "trace/trace_io.h"
@@ -120,6 +121,28 @@ TEST(ToolsTest, SimRejectsMissingTraceFile) {
   EXPECT_NE(runTool(toolPath("vlsim") + " --trace /nonexistent.vlt", &out),
             0);
   EXPECT_NE(out.find("cannot open"), std::string::npos);
+}
+
+TEST(ToolsTest, ChaosRejectsFlashCrowdLargerThanClientCount) {
+  const std::string chaos = toolPath("vlease_chaos");
+  if (chaos.empty()) GTEST_SKIP() << "tools not in ./tools";
+  std::string out;
+  // The chaos workload has 4 clients: a larger crowd is a usage error
+  // (exit 1 with a message), not a failed invariant check (abort).
+  for (const char* crowd : {"20", "5", "-1"}) {
+    const int rc = runTool(chaos + " --seeds 1 --flash-crowd " + crowd, &out);
+    ASSERT_TRUE(WIFEXITED(rc)) << crowd << ": " << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << crowd << ": " << out;
+    EXPECT_NE(out.find("--flash-crowd must be between 0 and the client "
+                       "count (4)"),
+              std::string::npos)
+        << out;
+  }
+  // The whole population is a valid crowd.
+  const int rc = runTool(
+      chaos + " --seeds 1 --algorithms volume --flash-crowd 4", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  EXPECT_EQ(WEXITSTATUS(rc), 0) << out;
 }
 
 }  // namespace

@@ -456,6 +456,131 @@ TEST(DelayedInvalTest, WriteNeverWaitsForInactiveClients) {
 }
 
 // ---------------------------------------------------------------------
+// queued bits: every path that empties a pending list must let the
+// next write queue again
+// ---------------------------------------------------------------------
+//
+// The server remembers "object o waits on client c's pending list" in a
+// bit that lets a write skip a holder already queued. Each test below
+// empties client 0's list for object 0 one way, makes client 0 an
+// Inactive holder of object 0 again, and requires the next write to
+// queue anew: a bit left set would skip the client, leaving it
+// un-invalidated.
+
+/// Client 0 holds object 0 under a live object lease with its volume
+/// lease expired: a write must queue one invalidation for it, which the
+/// next read delivers.
+void expectWriteQueuesAgain(ProtoHarness& h, VolumeServer& server) {
+  h.write(0);
+  EXPECT_TRUE(server.isInactive(h.client(0), kVol));
+  EXPECT_EQ(server.pendingMessageCount(h.client(0), kVol), 1u);
+  auto r = h.read(0, 0);
+  EXPECT_TRUE(r.ok);
+  EXPECT_TRUE(r.fetchedData);
+  EXPECT_EQ(r.version, server.currentVersion(makeObjectId(0)));
+  EXPECT_EQ(h.metrics().staleReads(), 0);
+}
+
+TEST(QueuedBitTest, AckedFlushLetsTheNextWriteQueue) {
+  ProtoHarness h(delayConfig());
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  h.read(0, 1);  // volume renewal: flush {0}, ack, grant
+  ASSERT_FALSE(vserver(h).isInactive(h.client(0), kVol));
+  EXPECT_EQ(h.read(0, 0).version, 2);
+  h.advanceTo(sec(120));
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+TEST(QueuedBitTest, TimedOutFlushLetsTheNextWriteQueue) {
+  ProtoHarness h(delayConfig());
+  h.network().setLatency(msec(20));
+  h.read(0, 0);
+  h.advanceTo(h.scheduler().now() + sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  // The flush batch is lost: the session times out into Unreachable.
+  h.sim->issueRead(h.client(0), makeObjectId(1), nullptr);
+  h.advanceTo(h.scheduler().now() + msec(25));
+  h.network().failures().isolate(h.client(0));
+  h.advanceTo(h.scheduler().now() + sec(40));
+  ASSERT_TRUE(vserver(h).isUnreachable(h.client(0), kVol));
+  h.network().failures().deisolate(h.client(0));
+  EXPECT_EQ(h.read(0, 0).version, 2);  // reconnection repairs
+  ASSERT_FALSE(vserver(h).isUnreachable(h.client(0), kVol));
+  h.advanceTo(h.scheduler().now() + sec(60));
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+TEST(QueuedBitTest, DiscardPastDLetsTheNextWriteQueue) {
+  ProtoHarness h(delayConfig(sec(100)));
+  h.read(0, 0);
+  h.advanceTo(sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  h.advanceTo(sec(200));
+  h.write(0);  // past volExpiry + d: the list is discarded
+  ASSERT_TRUE(vserver(h).isUnreachable(h.client(0), kVol));
+  EXPECT_EQ(h.read(0, 0).version, 3);  // reconnection repairs
+  h.advanceTo(sec(260));  // volume expired at 210, within d again
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+TEST(QueuedBitTest, ReconnectPastDLetsTheNextWriteQueue) {
+  ProtoHarness h(delayConfig(sec(100)));
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  // The client returns past d with no write in between: its volume
+  // request demotes it, dropping the list, and it reconnects.
+  h.advanceTo(sec(200));
+  h.read(0, 1);
+  ASSERT_FALSE(vserver(h).isUnreachable(h.client(0), kVol));
+  EXPECT_EQ(h.read(0, 0).version, 2);
+  h.advanceTo(sec(260));
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+TEST(QueuedBitTest, CrashLetsTheNextWriteQueue) {
+  ProtoHarness h(delayConfig());
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  vserver(h).crashAndReboot();
+  EXPECT_EQ(h.read(0, 0).version, 2);  // stale epoch: reconnection
+  h.advanceTo(sec(120));
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+TEST(QueuedBitTest, MigrationAwayAndBackLetsTheNextWriteQueue) {
+  const ProtocolConfig config = delayConfig();
+  ProtoHarness h(config, /*numServers=*/2, /*numClients=*/2,
+                 /*objectsPerVolume=*/2);
+  driver::SimOptions options;
+  options.migrations.push_back({sec(100), kVol, h.server(1), true});
+  options.migrations.push_back({sec(200), kVol, h.server(0), true});
+  h.sim = std::make_unique<driver::Simulation>(h.catalog, config, options);
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));
+  h.write(0);
+  ASSERT_EQ(vserver(h).pendingMessageCount(h.client(0), kVol), 1u);
+  h.advanceTo(sec(250));  // away at 100, home at 200
+  ASSERT_TRUE(vserver(h).ownsVolume(kVol));
+  ASSERT_EQ(vserver(h).volumeEpoch(kVol), 3);
+  EXPECT_EQ(h.read(0, 0).version, 2);  // stale epoch: reconnection
+  h.advanceTo(sec(310));
+  expectWriteQueuesAgain(h, vserver(h));
+}
+
+// ---------------------------------------------------------------------
 // piggyback ablation
 // ---------------------------------------------------------------------
 

@@ -18,6 +18,8 @@
 //   $ vlease_chaos --seeds 8 --cache-capacity 2     # LRU eviction: clean
 //   $ vlease_chaos --seeds 8 --algorithms delay --discard-sec 60
 //   $ vlease_chaos --seeds 8 --by-expiry            # invalidate by waiting
+//   $ vlease_chaos --seeds 8 --piggyback            # volume renewals ride
+//                                                   # object-lease replies
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -137,6 +139,9 @@ int main(int argc, char** argv) {
   flags.addBool("by-expiry", false,
                 "writes invalidate by waiting out leases instead of "
                 "sending invalidations (writeByLeaseExpiry)");
+  flags.addBool("piggyback", false,
+                "volume algorithms: piggyback volume-lease renewals on "
+                "object-lease requests and replies (piggybackVolumeLease)");
   flags.addString("discard-sec", "inf",
                   "Delayed Invalidations: seconds an Inactive client "
                   "keeps its pending list before it becomes Unreachable "
@@ -190,6 +195,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool byExpiry = flags.getBool("by-expiry");
+  const bool piggyback = flags.getBool("piggyback");
 
   const bool migrate = flags.getBool("migrate");
   const bool breakEpochHandoff = flags.getBool("break-epoch-handoff");
@@ -206,8 +212,15 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.getInt("servers"));
   workloadOptions.volumesPerServer =
       static_cast<std::uint32_t>(flags.getInt("volumes-per-server"));
-  workloadOptions.flashClients =
-      static_cast<std::uint32_t>(flags.getInt("flash-crowd"));
+  const std::int64_t flashClients = flags.getInt("flash-crowd");
+  if (flashClients < 0 || flashClients > workloadOptions.numClients) {
+    std::fprintf(stderr,
+                 "--flash-crowd must be between 0 and the client count "
+                 "(%u)\n",
+                 workloadOptions.numClients);
+    return 1;
+  }
+  workloadOptions.flashClients = static_cast<std::uint32_t>(flashClients);
   workloadOptions.churnPeriod = sec(flags.getInt("churn-sec"));
   if (workloadOptions.numServers < 1 ||
       (migrate && workloadOptions.numServers < 2)) {
@@ -251,6 +264,7 @@ int main(int argc, char** argv) {
   base.leaseSweepPeriod = msec(flags.getInt("sweep-ms"));
   base.clientCacheCapacity = static_cast<std::size_t>(cacheCapacity);
   base.writeByLeaseExpiry = byExpiry;
+  base.piggybackVolumeLease = piggyback;
   base.inactiveDiscard = *discard;
 
   // Fixed migration schedule shared by every seed (the fault plans
@@ -339,7 +353,7 @@ int main(int argc, char** argv) {
   if (!flags.getBool("csv") && !flags.getBool("json")) {
     std::printf("\nintensity=%s skew=%s epsilon=%s servers=%lld "
                 "volumes/server=%lld migrate=%s cache=%lld "
-                "by-expiry=%s discard=%s seeds=%lld..%lld  "
+                "by-expiry=%s piggyback=%s discard=%s seeds=%lld..%lld  "
                 "(%zu plans x %zu "
                 "algorithms, %lld reads, %lld writes)\n",
                 flags.getString("intensity").c_str(),
@@ -349,7 +363,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(flags.getInt("volumes-per-server")),
                 migrate ? (breakEpochHandoff ? "broken" : "on") : "off",
                 static_cast<long long>(cacheCapacity),
-                byExpiry ? "on" : "off",
+                byExpiry ? "on" : "off", piggyback ? "on" : "off",
                 *discard == kNever ? "inf" : formatSimTime(*discard).c_str(),
                 static_cast<long long>(seedBase),
                 static_cast<long long>(seedBase + seeds - 1),
