@@ -65,6 +65,14 @@ build/tools/vlease_chaos --algorithms delay --discard-sec 60 --seeds 8 \
 build/tools/vlease_chaos --algorithms delay --discard-sec 10 --seeds 16 \
   --intensity high --migrate
 
+# Delayed Invalidations with writes committed by lease expiry: an
+# invalidation that a commit queues while the client's flush batch is
+# in flight must be flushed before the volume is granted. VolumeLease
+# with --by-expiry (ROADMAP item 9) and Delay with --by-expiry
+# --piggyback (item 1) still read stale and have no point yet.
+build/tools/vlease_chaos --algorithms delay --by-expiry --seeds 16 \
+  --intensity high
+
 # Client churn and a flash crowd on top of high faults and migrations:
 # departed clients leave Inactive entries and pending lists behind, and
 # the crowd renews through flushes and reconnections.
@@ -184,7 +192,7 @@ if [[ "${VLEASE_SANITIZE:-OFF}" != "ON" ]]; then
   scripts/bench.sh --suite kernel --check 60 --reps 2 --min-time 0.1
   scripts/bench.sh --suite protocol --check 60 --reps 2 --min-time 0.1
   # Scale gate: the streaming replay's 50k-client configuration must
-  # hold its events/second (deadline-lane timer churn + sweep active).
+  # hold its events/second (timer schedule/cancel churn + sweep active).
   scripts/bench.sh --suite scale --check 60 --reps 2
   # rt gate: loopback messages per process-CPU second through two real
   # TcpTransports. Best of 3 at 25% (BENCHMARK.json's bound): on a

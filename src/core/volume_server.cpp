@@ -440,7 +440,7 @@ void VolumeServer::startReconnect(NodeId client, VolumeId volId) {
   setUnreach(v, ci);  // stale-epoch clients enter here too
 
   Session session{Session::Kind::kReconnect, false, ctx_.scheduler.now(), {}};
-  session.timer = ctx_.scheduler.scheduleDeadlineAfter(
+  session.timer = ctx_.scheduler.scheduleAfter(
       config_.msgTimeout, [this, ci, volId]() {
         // Client vanished mid-exchange; it stays unreachable.
         endSession(ci, volId);
@@ -492,7 +492,7 @@ void VolumeServer::processRenewObjLeases(const net::Message& msg,
   }
   session->awaitingAck = true;
   session->timer.cancel();
-  session->timer = ctx_.scheduler.scheduleDeadlineAfter(
+  session->timer = ctx_.scheduler.scheduleAfter(
       config_.msgTimeout,
       [this, ci, volId = req.vol]() { endSession(ci, volId); });
   ctx_.transport.send(net::Message{id(), client, std::move(batch)});
@@ -517,7 +517,7 @@ void VolumeServer::startFlush(NodeId client, VolumeId volId) {
   in->pending.clear();
 
   Session session{Session::Kind::kFlush, true, now, {}};
-  session.timer = ctx_.scheduler.scheduleDeadlineAfter(
+  session.timer = ctx_.scheduler.scheduleAfter(
       config_.msgTimeout, [this, ci, volId]() {
         // No ack: the client may have missed invalidations. Safe exit:
         // it becomes unreachable and must reconnect.
@@ -540,7 +540,10 @@ void VolumeServer::handleAckBatch(const net::Message& msg) {
   VolState& v = vol(ack.vol);
   endSession(ci, ack.vol);
   if (ci < v.unreachable.size()) v.unreachable[ci] = 0;
-  releaseInactive(v, ci);
+  // A by-expiry commit may have queued onto the list while the batch was
+  // in flight; keep it so maybeGrantVolume flushes it before granting.
+  const InactiveClient* in = v.inactive.find(ci);
+  if (in != nullptr && in->pending.empty()) releaseInactive(v, ci);
   maybeGrantVolume(client, ack.vol);
 }
 
@@ -607,7 +610,7 @@ void VolumeServer::writeInternal(ObjectId obj, WriteCallback cb,
     VolState* vp = volLookup(volumeOf(obj));
     VL_CHECK_MSG(vp != nullptr, "VolumeServer: write for un-owned volume");
     ++vp->recoveryWrites;
-    ctx_.scheduler.scheduleDeadline(
+    ctx_.scheduler.scheduleAt(
         recoveryUntil_, [this, obj, cb = std::move(cb), requestedAt]() mutable {
           VolState* v = volLookup(volumeOf(obj));
           VL_CHECK_MSG(v != nullptr, "VolumeServer: write for un-owned volume");
@@ -659,7 +662,7 @@ void VolumeServer::startWrite(ObjectId obj, WriteCallback cb,
     const SimTime deadline = std::max({graceExpire(std::min(v.expire, st.expire)),
                                        graceExpire(v.handoffBound), now});
     st.pendingWrite = slot;
-    pw.timer = ctx_.scheduler.scheduleDeadline(
+    pw.timer = ctx_.scheduler.scheduleAt(
         deadline, [this, obj]() { commitWrite(obj); });
     return;
   }
@@ -760,7 +763,7 @@ void VolumeServer::startWrite(ObjectId obj, WriteCallback cb,
           ? skipBound
           : std::max({leaseBound, addSat(now, config_.msgTimeout), skipBound});
   st.pendingWrite = slot;
-  pw.timer = ctx_.scheduler.scheduleDeadline(
+  pw.timer = ctx_.scheduler.scheduleAt(
       deadline, [this, obj]() { commitWrite(obj); });
   immediateScratch_ = std::move(immediate);
 }
@@ -862,7 +865,7 @@ void VolumeServer::handleAckInvalidate(const net::Message& msg) {
   // still serve the old version until its leases drain; tighten the
   // commit timer from the aggregate deadline down to that instant.
   pw.timer.cancel();
-  pw.timer = ctx_.scheduler.scheduleDeadline(
+  pw.timer = ctx_.scheduler.scheduleAt(
       pw.skipBound, [this, obj = ack.obj]() { commitWrite(obj); });
 }
 
@@ -1144,7 +1147,7 @@ void VolumeServer::sweepExpiredLeases() {
     sweepTable(st.holders, [](std::uint32_t, SimTime) {});
   });
   if (remaining > 0 && !quiesced_) {
-    sweepTimer_ = ctx_.scheduler.scheduleDeadlineAfter(
+    sweepTimer_ = ctx_.scheduler.scheduleAfter(
         config_.leaseSweepPeriod, [this]() { sweepExpiredLeases(); });
   } else {
     sweepArmed_ = false;  // next grant re-arms

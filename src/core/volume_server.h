@@ -414,7 +414,7 @@ class VolumeServer final : public proto::ServerNode {
   void maybeArmSweep() {
     if (sweepArmed_ || quiesced_ || config_.leaseSweepPeriod == 0) return;
     sweepArmed_ = true;
-    sweepTimer_ = ctx_.scheduler.scheduleDeadlineAfter(
+    sweepTimer_ = ctx_.scheduler.scheduleAfter(
         config_.leaseSweepPeriod, [this]() { sweepExpiredLeases(); });
   }
   /// Pop from every holder table's oldest end the records (and accrue

@@ -45,8 +45,6 @@ Simulation::~Simulation() = default;
 void Simulation::installFaultPlan(const net::FaultPlan& plan) {
   faultTimers_.reserve(plan.size());
   for (const net::FaultEvent& event : plan.events()) {
-    // Exact lane on purpose: fault plans are replayed bit-for-bit, so
-    // injection instants must order precisely against protocol events.
     faultTimers_.push_back(scheduler_.scheduleAt(
         event.at, [this, event]() { applyFault(event); }));
   }
@@ -100,8 +98,6 @@ void Simulation::applyFault(const net::FaultEvent& event) {
 void Simulation::installMigrations() {
   migrationTimers_.reserve(options_.migrations.size());
   for (const MigrationEvent& event : options_.migrations) {
-    // Exact lane, like fault events: migration instants must order
-    // precisely against protocol activity for replays to be bit-exact.
     migrationTimers_.push_back(scheduler_.scheduleAt(
         event.at, [this, event]() { applyMigration(event); }));
   }
@@ -145,8 +141,7 @@ void Simulation::applyMigration(const MigrationEvent& event) {
 void Simulation::scheduleAudit() {
   // Rescheduling is gated on finished_: finish() must be able to drain
   // the scheduler, and a timer that always re-arms itself would keep
-  // the queue nonempty forever. Exact lane on purpose: the audit is a
-  // measurement cadence, sampled at precise instants.
+  // the queue nonempty forever.
   auditTimer_ =
       scheduler_.scheduleAfter(options_.oracleAuditPeriod, [this]() {
         oracle_->audit(protocol_, scheduler_.now());

@@ -174,6 +174,13 @@ std::pair<SimTime, SimTime> randomWindow(Rng& rng, SimTime horizon,
 
 }  // namespace
 
+std::optional<double> FaultPlan::intensityByName(const std::string& name) {
+  if (name == "low") return 0.2;
+  if (name == "medium") return 0.5;
+  if (name == "high") return 0.9;
+  return std::nullopt;
+}
+
 FaultPlan FaultPlan::random(Rng& rng, const RandomOptions& options,
                             const std::vector<NodeId>& clients,
                             const std::vector<NodeId>& servers) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,11 @@ class FaultPlan {
     /// Floor on a fault window's length after scaling.
     SimDuration minWindow = sec(1);
   };
+
+  /// The tools' named intensities: low 0.2, medium 0.5, high 0.9;
+  /// nullopt for any other name.
+  static std::optional<double> intensityByName(const std::string& name);
+
   static FaultPlan random(Rng& rng, const RandomOptions& options,
                           const std::vector<NodeId>& clients,
                           const std::vector<NodeId>& servers);

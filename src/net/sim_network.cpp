@@ -37,8 +37,6 @@ void SimNetwork::send(Message msg) {
   if (!deliverable) return;
   const SimDuration delay = latency_ ? latency_(msg.from, msg.to) : 0;
   VL_CHECK(delay >= 0);
-  // Exact lane on purpose: message delivery order IS the protocol's
-  // observable behavior -- never the coarse deadline lane.
   scheduler_.scheduleAfter(delay, [this, m = std::move(msg)]() {
     // Re-check the failure model at delivery time, not only at send: a
     // node isolated or partitioned away while the message was in flight

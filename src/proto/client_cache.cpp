@@ -22,9 +22,7 @@ PendingReads::Token PendingReads::add(ObjectId obj, SimDuration timeout,
   op.inLive = true;
   op.active = true;
   const Token token = makeToken(slot, op.gen);
-  // Deadline lane: the timeout is a give-up bound that the response
-  // almost always cancels first.
-  op.timer = scheduler_.scheduleDeadlineAfter(timeout, [this, token]() {
+  op.timer = scheduler_.scheduleAfter(timeout, [this, token]() {
     ReadResult failed;
     failed.ok = false;
     resolveOne(token, failed);

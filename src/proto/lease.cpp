@@ -78,7 +78,7 @@ void LeaseServer::writeInternal(ObjectId obj, WriteCallback cb,
     // might have granted has provably expired before mutating data.
     // Re-checked every time the delayed write fires -- a second crash
     // during recovery pushes the write out again.
-    ctx_.scheduler.scheduleDeadline(
+    ctx_.scheduler.scheduleAt(
         recoveryUntil_, [this, obj, cb = std::move(cb), requestedAt]() mutable {
           writeInternal(obj, std::move(cb), requestedAt);
         });
@@ -139,7 +139,7 @@ void LeaseServer::startWrite(ObjectId obj, WriteCallback cb,
     pw.startedAt = requestedAt;
     auto [it, inserted] = pendingWrites_.emplace(obj, std::move(pw));
     VL_CHECK(inserted);
-    it->second.timer = ctx_.scheduler.scheduleDeadline(
+    it->second.timer = ctx_.scheduler.scheduleAt(
         std::max(graceExpire(st.expire), now),
         [this, obj]() { commitWrite(obj, /*viaTimeout=*/true); });
     return;
@@ -161,7 +161,7 @@ void LeaseServer::startWrite(ObjectId obj, WriteCallback cb,
           : std::max(graceExpire(st.expire), addSat(now, config_.msgTimeout));
   auto [it, inserted] = pendingWrites_.emplace(obj, std::move(pw));
   VL_CHECK(inserted);
-  it->second.timer = ctx_.scheduler.scheduleDeadline(
+  it->second.timer = ctx_.scheduler.scheduleAt(
       deadline, [this, obj]() { commitWrite(obj, /*viaTimeout=*/true); });
   // Zero-latency acks may already have arrived -- they cannot have,
   // actually: deliveries happen after this handler returns. The commit
@@ -222,7 +222,7 @@ void LeaseServer::scheduleRetry(ObjectId obj, NodeId client, int remaining) {
   if (remaining <= 0) return;
   RetryState state;
   state.remaining = remaining;
-  state.timer = ctx_.scheduler.scheduleDeadlineAfter(
+  state.timer = ctx_.scheduler.scheduleAfter(
       config_.retryInterval, [this, obj, client, remaining]() {
         retries_.erase(std::make_pair(obj, client));
         ctx_.transport.send(net::Message{id(), client, net::Invalidate{obj}});

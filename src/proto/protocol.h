@@ -169,8 +169,8 @@ struct ProtocolConfig {
   /// equivalent -- every consumer of a holder record already checks
   /// graceExpire(expire) > now first, so removing a drained record can
   /// never change protocol behavior, only trim the tables writes
-  /// iterate. Driven by the scheduler's deadline lane
-  /// (one timer per server, not one per lease).
+  /// iterate. Driven by one self-rearming timer per server, not one
+  /// per lease.
   SimDuration leaseSweepPeriod = 0;
 
   /// Extension (paper §2.4's unexplored option): instead of sending

@@ -600,8 +600,7 @@ void TcpTransport::injectTruncation(NodeId node, Peer& peer,
 
 void TcpTransport::send(net::Message msg) {
   // Local recipient: bypass the socket but keep asynchrony (scheduler
-  // hop) so delivery order matches the simulator's semantics. Exact
-  // lane on purpose: this hop IS message ordering.
+  // hop) so delivery order matches the simulator's semantics.
   if (sinks_.count(msg.to) > 0) {
     driver_.scheduler().scheduleAfter(0, [this, m = std::move(msg)]() {
       deliverLocal(m);

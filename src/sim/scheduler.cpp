@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace vlease::sim {
 
@@ -9,9 +8,7 @@ Scheduler::Scheduler() : ref_(new detail::SchedulerRef{this, 1}) {}
 
 Scheduler::~Scheduler() {
   // Pending (never-fired) closures may hold a TimerHandle into this very
-  // scheduler; destroy them while ref_ is still live. The parity scan
-  // covers both lanes -- wheel-resident slots are armed (odd) like heap
-  // ones.
+  // scheduler; destroy them while ref_ is still live.
   for (std::uint32_t i = 0; i < numSlots_; ++i) {
     if (gens_[i] & 1u) slot(i).action.reset();
   }
@@ -23,25 +20,34 @@ void Scheduler::heapPush(Node node) {
   std::size_t i = heap_.size();
   heap_.push_back(node);
   Node* h = heap_.data();
-  // Hole-based sift-up, the mirror of heapPopTop's sift-down.
+  // Hole-based sift-up: slide each later parent down into the hole
+  // instead of swapping, and record every moved node's new position.
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!nodeBefore(node, h[parent])) break;
     h[i] = h[parent];
+    pos_[h[i].slot] = static_cast<std::uint32_t>(i);
     i = parent;
   }
   h[i] = node;
+  pos_[node.slot] = static_cast<std::uint32_t>(i);
 }
 
-void Scheduler::heapPopTop() {
+void Scheduler::heapRemove(std::size_t i) {
   const std::size_t n = heap_.size() - 1;
   Node* h = heap_.data();
-  const Node moved = h[n];  // displaced leaf to re-insert
+  const Node moved = h[n];  // displaced leaf to re-insert at the hole
   heap_.pop_back();
-  if (n == 0) return;
-  // Hole-based sift-down: slide the min child up into the hole at each
-  // level instead of swapping, halving the stores per level.
-  std::size_t i = 0;
+  if (i == n) return;
+  // The leaf may belong above the hole (a hole in another subtree) or
+  // below it; at most one of the two loops moves anything.
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!nodeBefore(moved, h[parent])) break;
+    h[i] = h[parent];
+    pos_[h[i].slot] = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
   while (true) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -52,63 +58,16 @@ void Scheduler::heapPopTop() {
     }
     if (!nodeBefore(h[best], moved)) break;
     h[i] = h[best];
+    pos_[h[i].slot] = static_cast<std::uint32_t>(i);
     i = best;
   }
   h[i] = moved;
-}
-
-void Scheduler::promoteDueBucket() {
-  // Drain the earliest-due bucket into the heap in one pass. Promotion
-  // happens strictly before anything at/after the bucket's boundary
-  // fires (peekArmed's sync condition), and the boundary never trails a
-  // resident deadline by more than one bucket granularity, so every
-  // promoted node re-enters the global (time, seq) order in time to
-  // fire exactly at its key -- bucket layout never shows through.
-  const std::uint32_t bucket = wheelNextBucket_;
-  std::uint32_t index = bucketHead_[bucket];
-  while (index != kNoSlot) {
-    const std::uint32_t n = next_[index];
-    prev_[index] = kNoSlot;  // restore the not-on-wheel invariant
-    heapPush(Node{wheelAt_[index], wheelSeq_[index], index});
-    --wheelCount_;
-    index = n;
-  }
-  wheelOcc_[bucket >> kWheelSlotBits] &=
-      ~(1ull << (bucket & (kWheelSlots - 1)));
-  recomputeWheelNext();
-}
-
-void Scheduler::recomputeWheelNext() {
-  // Scan the occupancy bitmaps for the new earliest-due bucket. Bounded
-  // by the number of occupied buckets (<= 1280, usually a handful);
-  // runs only when the minimum bucket empties, never per event.
-  if (wheelCount_ == 0) {
-    wheelNextDue_ = kNever;
-    wheelNextBucket_ = 0;
-    return;
-  }
-  SimTime best = kNever;
-  std::uint32_t bestBucket = 0;
-  for (std::uint32_t level = 0; level < kWheelLevels; ++level) {
-    std::uint64_t occ = wheelOcc_[level];
-    while (occ != 0) {
-      const std::uint32_t bucket =
-          level * kWheelSlots +
-          static_cast<std::uint32_t>(std::countr_zero(occ));
-      occ &= occ - 1;
-      if (bucketDue_[bucket] < best) {
-        best = bucketDue_[bucket];
-        bestBucket = bucket;
-      }
-    }
-  }
-  wheelNextDue_ = best;
-  wheelNextBucket_ = bestBucket;
+  pos_[moved.slot] = static_cast<std::uint32_t>(i);
 }
 
 std::int64_t Scheduler::run() {
   std::int64_t n = 0;
-  while (peekArmed(kNever)) {
+  while (!heap_.empty()) {
     fireTop();
     ++n;
   }
@@ -117,10 +76,7 @@ std::int64_t Scheduler::run() {
 
 std::int64_t Scheduler::runUntil(SimTime until) {
   std::int64_t n = 0;
-  // promoteLimit = until: buckets due past the horizon stay parked on
-  // the wheel (a trace replay calls runUntil per injected event -- far
-  // lease deadlines must not be shoveled into the heap every time).
-  while (peekArmed(until) && topNode()->at <= until) {
+  while (!heap_.empty() && heap_.front().at <= until) {
     fireTop();
     ++n;
   }
@@ -129,7 +85,7 @@ std::int64_t Scheduler::runUntil(SimTime until) {
 }
 
 bool Scheduler::step() {
-  if (!peekArmed(kNever)) return false;
+  if (heap_.empty()) return false;
   fireTop();
   return true;
 }

@@ -111,17 +111,15 @@ TEST(AllocFreeTest, SchedulerCancelIsAllocationFree) {
 }
 
 TEST(AllocFreeTest, SchedulerDeadlineLaneIsAllocationFree) {
-  // The timing-wheel lane: far deadlines that are mostly cancelled (the
-  // lease-renewal lifecycle), plus a drained remainder so promotion into
-  // the heap is exercised too. The wheel's bucket arrays are fixed
-  // members and cancels reclaim eagerly, so steady state allocates
-  // nothing.
+  // Far deadlines that are mostly cancelled (the lease-renewal
+  // lifecycle), plus a drained remainder. Cancels remove heap nodes and
+  // recycle slots eagerly, so steady state allocates nothing.
   sim::Scheduler s;
   std::vector<sim::TimerHandle> handles(kEvents);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < kEvents; ++i) {
       handles[static_cast<std::size_t>(i)] =
-          s.scheduleDeadlineAfter(sec(30) + i % 7, [] {});
+          s.scheduleAfter(sec(30) + i % 7, [] {});
     }
     for (int i = 0; i < kEvents; i += 2) {
       handles[static_cast<std::size_t>(i)].cancel();
@@ -132,7 +130,7 @@ TEST(AllocFreeTest, SchedulerDeadlineLaneIsAllocationFree) {
   const std::int64_t before = g_newCalls;
   for (int i = 0; i < kEvents; ++i) {
     handles[static_cast<std::size_t>(i)] =
-        s.scheduleDeadlineAfter(sec(30) + i % 7, [] {});
+        s.scheduleAfter(sec(30) + i % 7, [] {});
   }
   for (int i = 0; i < kEvents; i += 2) {
     handles[static_cast<std::size_t>(i)].cancel();
@@ -140,7 +138,7 @@ TEST(AllocFreeTest, SchedulerDeadlineLaneIsAllocationFree) {
   s.run();
   const std::int64_t after = g_newCalls;
 
-  EXPECT_EQ(after - before, 0) << "deadline lane allocated in steady state";
+  EXPECT_EQ(after - before, 0) << "far schedule+cancel allocated in steady state";
   EXPECT_TRUE(s.empty());
 }
 

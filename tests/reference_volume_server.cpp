@@ -380,7 +380,10 @@ void RefVolumeServer::handleAckBatch(const net::Message& msg) {
   VolState& v = vol(ack.vol);
   endSession(client, ack.vol);
   v.unreachable.erase(client);
-  v.inactive.erase(client);
+  auto inIt = v.inactive.find(client);
+  if (inIt != v.inactive.end() && inIt->second.pending.empty()) {
+    v.inactive.erase(inIt);
+  }
   maybeGrantVolume(client, ack.vol);
 }
 

@@ -9,7 +9,9 @@
 // cancelled events skipped). Besides that random mix, the same harness
 // drives three traffic shapes a kernel is tempted to special-case: a bulk
 // monotone schedule-then-drain, same-instant fan-out bursts, and a mass
-// of far-future timers cancelled before any fires. Directed cases cover
+// of far-future timers cancelled before any fires -- plus a mix in which
+// events arm far give-up timers that their own firing cancels, the
+// request/timeout pattern of the protocols. Directed cases cover
 // cancellation during a callback at the same instant and handles that
 // outlive the scheduler.
 #include <gtest/gtest.h>
@@ -108,23 +110,24 @@ class NaiveScheduler {
 /// same side effects with the same pre-drawn parameters.
 struct EventSpec {
   enum class Kind { kRecord, kCancelVictim, kSpawnChild, kFanOut };
+  static constexpr std::size_t kNone = ~std::size_t{0};
   int id = 0;
   Kind kind = Kind::kRecord;
   std::size_t victim = 0;       // kCancelVictim: index into handle registry
   SimDuration childDelay = 0;   // kSpawnChild
   int childId = 0;              // kSpawnChild; kFanOut: first child id
   int width = 0;                // kFanOut
+  std::size_t giveUp = kNone;   // give-up timer this event cancels on firing
 };
 
 class DifferentialDriver {
  public:
-  /// `mixedLanes` routes a random half of the real scheduler's events
-  /// through scheduleDeadline (the timing-wheel lane) while the naive
-  /// reference keeps exact semantics for everything -- so the test
-  /// asserts the wheel's firing is indistinguishable, event for event,
-  /// from the exact lane.
-  explicit DifferentialDriver(std::uint64_t seed, bool mixedLanes = false)
-      : rng_(seed), mixedLanes_(mixedLanes) {}
+  /// With `giveUpTimers`, a random half of the scheduled events also
+  /// arm a far-future give-up timer that the event cancels when it
+  /// fires, so most timers are removed from deep inside the heap long
+  /// before their deadline.
+  explicit DifferentialDriver(std::uint64_t seed, bool giveUpTimers = false)
+      : rng_(seed), giveUpTimers_(giveUpTimers) {}
 
   void scheduleTopLevel() {
     const SimDuration delay = static_cast<SimDuration>(rng_.nextBelow(50));
@@ -144,20 +147,19 @@ class DifferentialDriver {
   }
 
   /// One event that, when it fires, fans out `width` recorders at now()
-  /// and `width` at now()+1, with a deadline at now() after every fourth
-  /// pair.
+  /// and `width` at now()+1.
   void scheduleFanOut(SimDuration delay, int width) {
     EventSpec spec;
     spec.id = nextId_++;
     spec.kind = EventSpec::Kind::kFanOut;
     spec.width = width;
     spec.childId = nextId_;
-    nextId_ += 3 * width;
+    nextId_ += 2 * width;
     schedule(real_.now() + delay, std::make_shared<EventSpec>(spec));
     ++scheduled_;
   }
 
-  /// `count` exact-lane timers far beyond every other event, all
+  /// `count` timers far beyond every other event, all
   /// cancelled before any of them can fire.
   void scheduleAndCancelFarFuture(int count) {
     const std::size_t first = realHandles_.size();
@@ -227,16 +229,34 @@ class DifferentialDriver {
   }
 
   void schedule(SimTime at, const std::shared_ptr<EventSpec>& spec) {
-    const bool viaWheel = mixedLanes_ && rng_.nextBelow(2) == 0;
-    auto realFn = [this, spec] { fire(*spec, firedReal_, /*isReal=*/true); };
-    realHandles_.push_back(viaWheel ? real_.scheduleDeadline(at, realFn)
-                                    : real_.scheduleAt(at, realFn));
+    if (giveUpTimers_ && rng_.nextBelow(2) == 0) {
+      // The give-up timer goes in first, as a request's timeout is armed
+      // before its reply can arrive; it fires only if the event is
+      // cancelled before it comes due.
+      const SimDuration slack =
+          static_cast<SimDuration>(1 + rng_.nextBelow(1u << 20));
+      spec->giveUp = realHandles_.size();
+      arm(at + slack, std::make_shared<EventSpec>(drawSpec()));
+    }
+    arm(at, spec);
+  }
+
+  void arm(SimTime at, const std::shared_ptr<EventSpec>& spec) {
+    realHandles_.push_back(real_.scheduleAt(
+        at, [this, spec] { fire(*spec, firedReal_, /*isReal=*/true); }));
     naiveHandles_.push_back(naive_.scheduleAt(
         at, [this, spec] { fire(*spec, firedNaive_, /*isReal=*/false); }));
   }
 
   void fire(const EventSpec& spec, std::vector<int>& out, bool isReal) {
     out.push_back(spec.id);
+    if (spec.giveUp != EventSpec::kNone) {
+      if (isReal) {
+        realHandles_[spec.giveUp].cancel();
+      } else {
+        *naiveHandles_[spec.giveUp] = false;
+      }
+    }
     switch (spec.kind) {
       case EventSpec::Kind::kRecord:
         break;
@@ -256,30 +276,22 @@ class DifferentialDriver {
         break;
       case EventSpec::Kind::kFanOut:
         for (int i = 0; i < spec.width; ++i) {
-          const int id = spec.childId + 3 * i;
+          const int id = spec.childId + 2 * i;
           spawnRecorder(isReal, 0, id);
           spawnRecorder(isReal, 1, id + 1);
-          if (i % 4 == 0) spawnRecorder(isReal, 0, id + 2, /*deadline=*/true);
         }
         break;
     }
   }
 
-  /// Schedule a child that only records its id. On the real scheduler
-  /// `deadline` routes it through scheduleDeadline; the reference keeps
-  /// exact semantics for every child.
-  void spawnRecorder(bool isReal, SimDuration delay, int id,
-                     bool deadline = false) {
-    if (!isReal) {
+  /// Schedule a child that only records its id.
+  void spawnRecorder(bool isReal, SimDuration delay, int id) {
+    if (isReal) {
+      real_.scheduleAt(real_.now() + delay,
+                       [this, id] { firedReal_.push_back(id); });
+    } else {
       naive_.scheduleAt(naive_.now() + delay,
                         [this, id] { firedNaive_.push_back(id); });
-      return;
-    }
-    auto fn = [this, id] { firedReal_.push_back(id); };
-    if (deadline) {
-      real_.scheduleDeadline(real_.now() + delay, fn);
-    } else {
-      real_.scheduleAt(real_.now() + delay, fn);
     }
   }
 
@@ -292,7 +304,7 @@ class DifferentialDriver {
   std::vector<int> firedNaive_;
   int nextId_ = 0;
   int scheduled_ = 0;
-  bool mixedLanes_ = false;
+  bool giveUpTimers_ = false;
 };
 
 /// Traffic the harness drives: the interleaved random mix, or one of
@@ -403,16 +415,15 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{Shape::kSameTickFanOut, 83},
                       DiffCase{Shape::kCancelledFarFuture, 97}));
 
-/// Same differential harness, but half the real scheduler's events go
-/// through the timing-wheel lane (scheduleDeadline) while the naive
-/// reference stays exact. The firing sequences must still match event
-/// for event: the wheel normalizes fire order through the global
-/// (time, seq) heap at promotion, so coarse bucketing must be invisible.
+/// Same differential harness with give-up timers: half the events arm a
+/// far-future timer that their own firing cancels, so cancel() removes
+/// nodes from every depth of the heap while the random mix runs. The
+/// firing sequences must still match event for event.
 class SchedulerWheelDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerWheelDifferentialTest, WheelLaneMatchesExactReference) {
-  DifferentialDriver driver(GetParam(), /*mixedLanes=*/true);
+  DifferentialDriver driver(GetParam(), /*giveUpTimers=*/true);
   Rng opRng(GetParam() ^ 0xabad1deaull);
 
   int op = 0;
@@ -440,40 +451,6 @@ TEST_P(SchedulerWheelDifferentialTest, WheelLaneMatchesExactReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerWheelDifferentialTest,
                          ::testing::Values(13, 29, 43, 61));
-
-/// Deadline-band contract fuzz: every surviving deadline must fire
-/// within [at, at + (at - scheduled)/8) -- one wheel-bucket granularity
-/// -- across delays spanning every wheel level (1us .. ~3 days),
-/// interleaved with renew-style cancellation churn.
-TEST(SchedulerWheelContractTest, DeadlinesFireWithinOneBucketGranularity) {
-  Rng rng(0xfeedull);
-  Scheduler s;
-  std::vector<TimerHandle> handles;
-  int checked = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    // Delay magnitude is log-uniform so far buckets get real coverage.
-    const int bits = 1 + static_cast<int>(rng.nextBelow(38));
-    const SimDuration delay =
-        static_cast<SimDuration>(1 + rng.nextBelow(1ull << bits));
-    const SimTime scheduledNow = s.now();
-    const SimTime at = scheduledNow + delay;
-    handles.push_back(s.scheduleDeadline(at, [&s, &checked, scheduledNow, at] {
-      const SimDuration slack = std::max<SimDuration>(1, (at - scheduledNow) / 8);
-      EXPECT_GE(s.now(), at);
-      EXPECT_LT(s.now(), at + slack);
-      ++checked;
-    }));
-    if (rng.nextBelow(3) == 0 && !handles.empty()) {
-      handles[rng.nextBelow(handles.size())].cancel();
-    }
-    if (rng.nextBelow(8) == 0) {
-      s.runUntil(s.now() + static_cast<SimDuration>(rng.nextBelow(1u << 20)));
-    }
-  }
-  s.run();
-  EXPECT_TRUE(s.empty());
-  EXPECT_GT(checked, 5'000);
-}
 
 TEST(SchedulerDirectedTest, CancelDuringCallbackSameInstant) {
   Scheduler s;

@@ -2,6 +2,8 @@
 // reference model: interleaved schedule / cancel / step / runUntil
 // operations must produce exactly the firing sequence the reference
 // predicts (time order, FIFO within a tick, cancelled events skipped).
+// Half the events come with a far-future give-up timer, and most of
+// those are cancelled long before they come due.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +32,8 @@ TEST_P(SchedulerStressTest, MatchesReferenceModel) {
   std::vector<RefEvent> ref;
   std::vector<TimerHandle> handles;
   std::vector<int> fired;          // actual firing order (ids)
+  std::vector<std::size_t> giveUps;  // handle indices of give-up timers
+  std::size_t nextGiveUp = 0;        // oldest give-up timer not yet cancelled
   std::uint64_t seq = 0;
   int nextId = 0;
 
@@ -62,19 +66,29 @@ TEST_P(SchedulerStressTest, MatchesReferenceModel) {
             static_cast<SimDuration>(rng.nextBelow(50));
         const SimTime at = scheduler.now() + delay;
         const int id = nextId++;
-        auto fn = [&fired, id]() { fired.push_back(id); };
-        // Half the events take the timing-wheel lane; the reference
-        // model stays exact, so the wheel must be indistinguishable.
-        handles.push_back(rng.nextBelow(2) == 0
-                              ? scheduler.scheduleDeadline(at, fn)
-                              : scheduler.scheduleAt(at, fn));
+        handles.push_back(
+            scheduler.scheduleAt(at, [&fired, id]() { fired.push_back(id); }));
         ref.push_back(RefEvent{at, seq++, id});
+        // Half the events also arm a far-future give-up timer, the way
+        // every request arms a timeout that its reply usually cancels.
+        if (rng.nextBelow(2) == 0) {
+          const SimTime giveUpAt =
+              at + 1'000 + static_cast<SimDuration>(rng.nextBelow(1u << 20));
+          const int giveUpId = nextId++;
+          giveUps.push_back(handles.size());
+          handles.push_back(scheduler.scheduleAt(
+              giveUpAt, [&fired, giveUpId]() { fired.push_back(giveUpId); }));
+          ref.push_back(RefEvent{giveUpAt, seq++, giveUpId});
+        }
         break;
       }
       case 5:
-      case 6: {  // cancel a random handle
+      case 6: {  // cancel the oldest give-up timer, or a random handle
         if (handles.empty()) break;
-        const std::size_t i = rng.nextBelow(handles.size());
+        const std::size_t i =
+            nextGiveUp < giveUps.size() && rng.nextBelow(2) == 0
+                ? giveUps[nextGiveUp++]
+                : rng.nextBelow(handles.size());
         handles[i].cancel();
         if (!ref[i].fired) ref[i].cancelled = true;
         break;

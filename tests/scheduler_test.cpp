@@ -158,12 +158,12 @@ TEST(SchedulerDeathTest, SchedulingInPastAborts) {
   EXPECT_DEATH(s.scheduleAt(5, [] {}), "cannot schedule in the past");
 }
 
-// ---- deadline (timing-wheel) lane ----
+// ---- give-up timers: far deadlines the reply usually cancels ----
 
 TEST(SchedulerDeadlineTest, FiresAtExactDeadline) {
   Scheduler s;
   SimTime seen = -1;
-  s.scheduleDeadline(1'000'000, [&] { seen = s.now(); });
+  s.scheduleAt(1'000'000, [&] { seen = s.now(); });
   s.run();
   EXPECT_EQ(seen, 1'000'000);
   EXPECT_EQ(s.now(), 1'000'000);
@@ -172,13 +172,13 @@ TEST(SchedulerDeadlineTest, FiresAtExactDeadline) {
 TEST(SchedulerDeadlineTest, MixedLanesShareOneTotalOrder) {
   Scheduler s;
   std::vector<int> order;
-  // Interleave lanes across a range that spans several wheel levels;
-  // firing must follow the global (time, seq) order regardless of lane.
-  s.scheduleDeadline(70, [&] { order.push_back(4); });
+  // Near and far timers interleaved in scheduling order; firing must
+  // follow the global (time, seq) order.
+  s.scheduleAt(70, [&] { order.push_back(4); });
   s.scheduleAt(70, [&] { order.push_back(5); });  // same t, later seq
   s.scheduleAt(10, [&] { order.push_back(1); });
-  s.scheduleDeadline(1'000'000, [&] { order.push_back(6); });
-  s.scheduleDeadline(20, [&] { order.push_back(2); });
+  s.scheduleAt(1'000'000, [&] { order.push_back(6); });
+  s.scheduleAt(20, [&] { order.push_back(2); });
   s.scheduleAt(30, [&] { order.push_back(3); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
@@ -188,7 +188,7 @@ TEST(SchedulerDeadlineTest, SameInstantDeadlineIsFifoWithExactLane) {
   Scheduler s;
   std::vector<int> order;
   s.scheduleAt(5, [&] {
-    s.scheduleDeadline(5, [&] { order.push_back(2); });  // == now: exact heap
+    s.scheduleAt(5, [&] { order.push_back(2); });  // == now
     s.scheduleAt(5, [&] { order.push_back(3); });
     order.push_back(1);
   });
@@ -199,7 +199,7 @@ TEST(SchedulerDeadlineTest, SameInstantDeadlineIsFifoWithExactLane) {
 TEST(SchedulerDeadlineTest, CancelPreventsFiringAndReclaims) {
   Scheduler s;
   bool fired = false;
-  TimerHandle h = s.scheduleDeadline(hours(10), [&] { fired = true; });
+  TimerHandle h = s.scheduleAt(hours(10), [&] { fired = true; });
   EXPECT_TRUE(h.pending());
   EXPECT_EQ(s.pendingCount(), 1u);
   h.cancel();
@@ -211,42 +211,30 @@ TEST(SchedulerDeadlineTest, CancelPreventsFiringAndReclaims) {
 }
 
 TEST(SchedulerDeadlineTest, RenewPatternScheduleCancelRepeat) {
-  // The lease-renewal lifecycle the wheel exists for: a far deadline is
-  // repeatedly cancelled and replaced; only the last one fires.
+  // The lease-renewal lifecycle: a far deadline is repeatedly cancelled
+  // and replaced; only the last one fires.
   Scheduler s;
   int fires = 0;
   TimerHandle h;
   for (int i = 0; i < 10'000; ++i) {
     h.cancel();
-    h = s.scheduleDeadlineAfter(sec(30), [&] { ++fires; });
+    h = s.scheduleAfter(sec(30), [&] { ++fires; });
   }
   s.run();
   EXPECT_EQ(fires, 1);
   EXPECT_EQ(s.now(), sec(30));
 }
 
-TEST(SchedulerDeadlineTest, RunUntilLeavesFarDeadlinesParked) {
-  Scheduler s;
-  bool fired = false;
-  s.scheduleDeadline(sec(100), [&] { fired = true; });
-  s.runUntil(sec(1));
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(s.now(), sec(1));
-  EXPECT_EQ(s.pendingCount(), 1u);
-  s.runUntil(sec(100));
-  EXPECT_TRUE(fired);
-}
-
 TEST(SchedulerDeadlineTest, CancelInsideCallbackSameInstant) {
   Scheduler s;
   std::vector<int> order;
   TimerHandle b;
-  s.scheduleDeadline(5, [&] {
+  s.scheduleAt(5, [&] {
     order.push_back(1);
     b.cancel();
   });
-  b = s.scheduleDeadline(5, [&] { order.push_back(2); });
-  s.scheduleDeadline(5, [&] { order.push_back(3); });
+  b = s.scheduleAt(5, [&] { order.push_back(2); });
+  s.scheduleAt(5, [&] { order.push_back(3); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
@@ -255,18 +243,11 @@ TEST(SchedulerDeadlineTest, HandleOutlivesSchedulerWithWheelEntry) {
   TimerHandle kept;
   {
     Scheduler s;
-    kept = s.scheduleDeadline(sec(10), [] {});
+    kept = s.scheduleAt(sec(10), [] {});
     EXPECT_TRUE(kept.pending());
   }
   EXPECT_FALSE(kept.pending());
   kept.cancel();  // must be a safe no-op
-}
-
-TEST(SchedulerDeadlineDeathTest, SchedulingInPastAborts) {
-  Scheduler s;
-  s.scheduleAt(10, [] {});
-  s.run();
-  EXPECT_DEATH(s.scheduleDeadline(5, [] {}), "cannot schedule in the past");
 }
 
 }  // namespace
@@ -284,6 +265,8 @@ struct SchedulerTestPeer {
   static void setGen(Scheduler& s, std::uint32_t slot, std::uint32_t gen) {
     s.gens_[slot] = gen;
   }
+  static std::uint32_t arenaSlots(const Scheduler& s) { return s.numSlots_; }
+  static constexpr std::uint32_t chunkSize() { return Scheduler::kChunkSize; }
   static constexpr std::uint32_t genRetire() { return Scheduler::kGenRetire; }
 };
 
@@ -324,15 +307,32 @@ TEST(SchedulerGenerationTest, DeadlineCancelAtWrapRetiresEagerly) {
   const std::uint32_t slot = SchedulerTestPeer::slotOf(h0);
   s.run();
   SchedulerTestPeer::setGen(s, slot, SchedulerTestPeer::genRetire() - 2);
-  // Deadline-lane cancel reclaims eagerly; at the threshold it must
-  // retire the slot instead of re-listing it.
-  TimerHandle h = s.scheduleDeadline(sec(1), [] {});
+  // Cancel reclaims eagerly; at the threshold it must retire the slot
+  // instead of re-listing it.
+  TimerHandle h = s.scheduleAt(sec(1), [] {});
   ASSERT_EQ(SchedulerTestPeer::slotOf(h), slot);
   h.cancel();
   EXPECT_EQ(SchedulerTestPeer::gen(s, slot), SchedulerTestPeer::genRetire());
-  TimerHandle next = s.scheduleDeadline(sec(1), [] {});
+  TimerHandle next = s.scheduleAt(sec(1), [] {});
   EXPECT_NE(SchedulerTestPeer::slotOf(next), slot);
   next.cancel();
+}
+
+TEST(SchedulerArenaTest, CancelRecyclesSlotAtOnce) {
+  // A give-up timer cancelled long before its deadline must hand its
+  // slot back immediately: 1e5 far-future timers, each cancelled before
+  // the next is armed, never need more than the first arena chunk.
+  Scheduler s;
+  s.scheduleAt(1, [] {});  // keeps each cancelled node off the root
+  for (int i = 0; i < 100'000; ++i) {
+    TimerHandle h = s.scheduleAt(hours(1) + i, [] {});
+    h.cancel();
+    ASSERT_LE(SchedulerTestPeer::arenaSlots(s), SchedulerTestPeer::chunkSize())
+        << "arena grew after " << i << " cancels";
+  }
+  EXPECT_EQ(s.pendingCount(), 1u);
+  EXPECT_EQ(s.run(), 1);
+  EXPECT_EQ(s.now(), 1);
 }
 
 }  // namespace

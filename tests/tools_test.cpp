@@ -1,6 +1,7 @@
 // End-to-end smoke tests of the CLI tools: vltracegen writes a valid
 // VLTRACE file; vlsim consumes it (and generated workloads) and reports
-// consistent numbers. Exercises the real binaries via std::system.
+// consistent numbers; the tools reject bad flag values with exit 1.
+// Exercises the real binaries via std::system.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -143,6 +145,45 @@ TEST(ToolsTest, ChaosRejectsFlashCrowdLargerThanClientCount) {
       chaos + " --seeds 1 --algorithms volume --flash-crowd 4", &out);
   ASSERT_TRUE(WIFEXITED(rc)) << out;
   EXPECT_EQ(WEXITSTATUS(rc), 0) << out;
+}
+
+TEST(ToolsTest, ScaleRejectsBadSizes) {
+  const std::string scale = toolPath("vlease_scale");
+  if (scale.empty()) GTEST_SKIP() << "tools not in ./tools";
+  // A bad size is a usage error: exit 1 with a message naming the flag,
+  // not a signal from deep inside the run.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--volumes 0", "--volumes must be >= 1"},
+      {"--objects 0", "--objects must be >= 1"},
+      {"--clients 0", "--clients must be >= 1"},
+      {"--interarrival-us -5", "--interarrival-us must be >= 1"},
+  };
+  for (const auto& [args, message] : cases) {
+    std::string out;
+    const int rc = runTool(scale + " --events 1000 " + args, &out);
+    ASSERT_TRUE(WIFEXITED(rc)) << args << ": " << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << args << ": " << out;
+    EXPECT_NE(out.find(message), std::string::npos) << args << ": " << out;
+  }
+}
+
+TEST(ToolsTest, RtRejectsUnknownNames) {
+  const std::string rt = toolPath("vlease_rt");
+  if (rt.empty()) GTEST_SKIP() << "tools not in ./tools";
+  // A typo must not quietly run as the default algorithm, intensity or
+  // scenario.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--algorithm delya", "unknown algorithm 'delya'"},
+      {"--intensity hgih", "unknown intensity 'hgih'"},
+      {"--scenario recovrey", "unknown scenario 'recovrey'"},
+  };
+  for (const auto& [args, message] : cases) {
+    std::string out;
+    const int rc = runTool(rt + " --seeds 1 " + args, &out);
+    ASSERT_TRUE(WIFEXITED(rc)) << args << ": " << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << args << ": " << out;
+    EXPECT_NE(out.find(message), std::string::npos) << args << ": " << out;
+  }
 }
 
 }  // namespace

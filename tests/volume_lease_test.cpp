@@ -4,6 +4,8 @@
 // the d discard parameter, and the piggyback ablation.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/volume_client.h"
 #include "core/volume_server.h"
 #include "proto_fixture.h"
@@ -424,6 +426,35 @@ TEST(DelayedInvalTest, RepeatedByExpiryCommitsQueueOneInvalidation) {
   h.advanceTo(sec(70));
   h.write(0);
   expectOnePendingInvalidation(h);
+}
+
+// A by-expiry commit that queues onto a client's pending list while that
+// client's flush batch is in flight must be flushed too before the volume
+// is granted; dropping it at the ack lets the client serve the old
+// version under two valid leases.
+TEST(DelayedInvalTest, ByExpiryCommitDuringFlushIsFlushedBeforeGrant) {
+  ProtocolConfig config = delayConfig();
+  config.writeByLeaseExpiry = true;
+  ProtoHarness h(config, 1, 2, /*objectsPerVolume=*/2);
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));  // volume lease expired; object leases valid
+  h.write(1);            // commits now, queues object 1 for client 0
+  h.network().setLatency(msec(20));
+  std::optional<proto::ReadResult> first;
+  h.sim->issueRead(h.client(0), makeObjectId(0),
+                   [&](const proto::ReadResult& r) { first = r; });
+  // The renewal reaches the server at +20 ms and starts the flush; the
+  // write below commits at once and queues object 0 behind the batch.
+  h.advanceTo(sec(60) + msec(25));
+  h.writeAsync(0);
+  EXPECT_EQ(vserver(h).currentVersion(makeObjectId(0)), 2);
+  h.advanceTo(sec(61));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->ok);
+  EXPECT_EQ(first->version, 2);
+  EXPECT_EQ(h.read(0, 0).version, 2);
+  EXPECT_EQ(h.metrics().staleReads(), 0);
 }
 
 TEST(DelayedInvalTest, DiscardAfterDMovesClientToUnreachable) {

@@ -50,13 +50,6 @@ std::optional<proto::Algorithm> parseAlgorithm(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<double> parseIntensity(const std::string& name) {
-  if (name == "low") return 0.2;
-  if (name == "medium") return 0.5;
-  if (name == "high") return 0.9;
-  return std::nullopt;
-}
-
 /// Clock-skew budget B by named intensity. The budget is the bound on
 /// every node's |skew| (FaultPlan::random guarantees it); sized against
 /// the tool's volumeTimeout = 30s so high skew is a third of t_v.
@@ -149,7 +142,8 @@ int main(int argc, char** argv) {
   driver::addRunnerFlags(flags);  // --threads --csv --json
   if (!flags.parse(argc, argv)) return 1;
 
-  const auto intensity = parseIntensity(flags.getString("intensity"));
+  const auto intensity =
+      net::FaultPlan::intensityByName(flags.getString("intensity"));
   if (!intensity) {
     std::fprintf(stderr, "unknown intensity '%s' (low|medium|high)\n",
                  flags.getString("intensity").c_str());

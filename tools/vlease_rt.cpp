@@ -158,9 +158,8 @@ HarnessRun buildRun(std::uint64_t seed, const Flags& flags) {
   } else {
     Rng planRng(seed);
     net::FaultPlan::RandomOptions po;
-    po.intensity = flags.getString("intensity") == "medium"
-                       ? 0.5
-                       : (flags.getString("intensity") == "high" ? 0.9 : 0.2);
+    po.intensity =
+        *net::FaultPlan::intensityByName(flags.getString("intensity"));
     po.horizon = run.duration;
     po.maxLossProbability = 0.25 * po.intensity;
     po.maxClockSkew = run.skewBudget;
@@ -769,6 +768,23 @@ int main(int argc, char** argv) {
                 "run the loopback messages/second benchmark and exit");
   flags.addInt("bench-ms", 2000, "loopback benchmark duration");
   if (!flags.parse(argc, argv)) return 1;
+  const std::string algorithm = flags.getString("algorithm");
+  if (algorithm != "volume" && algorithm != "delay") {
+    std::fprintf(stderr, "unknown algorithm '%s' (volume|delay)\n",
+                 algorithm.c_str());
+    return 1;
+  }
+  if (!net::FaultPlan::intensityByName(flags.getString("intensity"))) {
+    std::fprintf(stderr, "unknown intensity '%s' (low|medium|high)\n",
+                 flags.getString("intensity").c_str());
+    return 1;
+  }
+  const std::string scenario = flags.getString("scenario");
+  if (scenario != "chaos" && scenario != "recovery") {
+    std::fprintf(stderr, "unknown scenario '%s' (chaos|recovery)\n",
+                 scenario.c_str());
+    return 1;
+  }
 
   if (flags.getBool("bench-loopback")) return benchLoopback(flags);
   if (flags.getInt("node") >= 0) return workerMain(flags);

@@ -1,14 +1,14 @@
 // vlease_scale: streaming large-population replay that exercises the
-// scheduler's deadline lane and the batch lease-expiry sweep at scale.
+// scheduler's timer cancellation and the batch lease-expiry sweep at
+// scale.
 //
 // The point is the timer plane, not the workload: a large client
 // population (up to millions) cycles reads against a small shared
 // object set, so every read renews volume/object leases, arms a
-// read-timeout deadline that the response cancels, and parks session
-// timers -- exactly the churn the timing-wheel lane absorbs in O(1).
-// Short lease timeouts relative to the inter-visit gap mean most
+// read-timeout timer that the response cancels, and parks session
+// timers. Short lease timeouts relative to the inter-visit gap mean most
 // holder records are expired soft state, which the periodic sweep
-// (one deadline timer per server) trims instead of letting writes
+// (one timer per server) trims instead of letting writes
 // walk ever-growing tables.
 //
 // Events come from trace::EventStream, an O(1)-memory generator: they
@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "driver/simulation.h"
 #include "trace/stream.h"
@@ -110,6 +111,19 @@ int main(int argc, char** argv) {
                 "applying them (the oracle must report violations)");
   flags.addBool("progress", false, "print progress ticks to stderr");
   if (!flags.parse(argc, argv)) return 1;
+  // Sizes the catalog, the stream and the network need: a usage error
+  // here, not a failed check (or a division by zero) deep in the run.
+  const std::pair<const char*, std::int64_t> minimums[] = {
+      {"clients", 1}, {"events", 0},          {"objects", 1},
+      {"servers", 1}, {"volumes", 1},         {"interarrival-us", 1},
+      {"latency-ms", 0}, {"sweep-ms", 0}};
+  for (const auto& [name, min] : minimums) {
+    if (flags.getInt(name) < min) {
+      std::fprintf(stderr, "--%s must be >= %lld\n", name,
+                   static_cast<long long>(min));
+      return 1;
+    }
+  }
 
   const auto numClients = static_cast<std::uint32_t>(flags.getInt("clients"));
   const auto numEvents = flags.getInt("events");
@@ -120,7 +134,7 @@ int main(int argc, char** argv) {
   const SimDuration interarrival = usec(flags.getInt("interarrival-us"));
   const bool migrate = flags.getBool("migrate");
   const bool trackLoad = flags.getBool("track-load");
-  if (numServers < 1 || (migrate && numServers < 2)) {
+  if (migrate && numServers < 2) {
     std::fprintf(stderr, "--migrate needs --servers >= 2\n");
     return 1;
   }
