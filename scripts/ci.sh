@@ -65,13 +65,20 @@ build/tools/vlease_chaos --algorithms delay --discard-sec 60 --seeds 8 \
 build/tools/vlease_chaos --algorithms delay --discard-sec 10 --seeds 16 \
   --intensity high --migrate
 
-# Delayed Invalidations with writes committed by lease expiry: an
-# invalidation that a commit queues while the client's flush batch is
-# in flight must be flushed before the volume is granted. VolumeLease
-# with --by-expiry (ROADMAP item 9) and Delay with --by-expiry
-# --piggyback (item 1) still read stale and have no point yet.
+# Writes committed by lease expiry. Delay: an invalidation that a
+# commit queues while the client's flush batch is in flight must be
+# flushed before the volume is granted. VolumeLease: a commit that lands
+# while an Unreachable client's reconnection awaits its ack must end
+# that session, so the ack cannot re-admit the old version. The last
+# point runs all four algorithms under medium clock skew. Delay with
+# --by-expiry --piggyback still reads stale (ROADMAP item 1(B)) and has
+# no point yet.
 build/tools/vlease_chaos --algorithms delay --by-expiry --seeds 16 \
   --intensity high
+build/tools/vlease_chaos --algorithms volume --by-expiry --seeds 16 \
+  --intensity high
+build/tools/vlease_chaos --by-expiry --seeds 16 --intensity high \
+  --skew medium
 
 # Client churn and a flash crowd on top of high faults and migrations:
 # departed clients leave Inactive entries and pending lists behind, and

@@ -796,7 +796,15 @@ void VolumeServer::commitWrite(ObjectId obj) {
     // pending-list (delayed) or reconnection (immediate) machinery.
     st.holders.forEach([&](std::uint32_t ci, LeaseRecord& record) {
       if (graceExpire(record.expire) <= now) return;
-      if (isUnreach(v, ci)) return;
+      if (isUnreach(v, ci)) {
+        // A reconnection that already renewed this object at the old
+        // version would clear Unreachable at its ack and grant the
+        // volume over the stale copy. End it: the ack is dropped and
+        // the client's retry reconnects from scratch.
+        const Session* session = findSession(ci, volId);
+        if (session != nullptr && session->awaitingAck) endSession(ci, volId);
+        return;
+      }
       if (mode_ == InvalidationMode::kDelayed) {
         const LeaseRecord* vRec = v.holders.find(ci);
         queueInvalidation(v, st, ci, obj,

@@ -12,11 +12,13 @@ namespace vlease::driver {
 
 namespace {
 
+/// `capture` (may be null) collects the point's log lines; see runSweep.
 SweepResult runPoint(const SweepSpec& spec, const Workload& workload,
-                     std::size_t index) {
+                     std::size_t index, std::string* capture) {
   const SweepPoint& point = spec.points[index];
-  LogContext logContext(spec.name.empty() ? point.label
-                                          : spec.name + "/" + point.label);
+  LogContext logContext(
+      spec.name.empty() ? point.label : spec.name + "/" + point.label,
+      capture);
   const trace::Catalog& catalog =
       point.catalog ? *point.catalog : workload.catalog;
   Simulation sim(catalog, point.config, point.sim);
@@ -44,19 +46,25 @@ std::vector<SweepResult> runSweep(const SweepSpec& spec,
   std::vector<SweepResult> results(spec.points.size());
   if (threads <= 1) {
     for (std::size_t i = 0; i < spec.points.size(); ++i) {
-      results[i] = runPoint(spec, workload, i);
+      results[i] = runPoint(spec, workload, i, nullptr);
     }
     return results;
   }
 
+  // Each worker collects its point's log lines; they reach stderr in
+  // spec order, as a serial run writes them, not in completion order.
+  std::vector<std::string> logs(spec.points.size());
   util::ThreadPool pool(threads);
   std::vector<std::future<SweepResult>> futures;
   futures.reserve(spec.points.size());
   for (std::size_t i = 0; i < spec.points.size(); ++i) {
-    futures.push_back(
-        pool.submit([&spec, &workload, i] { return runPoint(spec, workload, i); }));
+    futures.push_back(pool.submit([&spec, &workload, &logs, i] {
+      return runPoint(spec, workload, i, &logs[i]);
+    }));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
+    futures[i].wait();
+    emitCapturedLog(logs[i]);
     results[i] = futures[i].get();  // rethrows a worker's exception
   }
   return results;

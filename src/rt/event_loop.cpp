@@ -1,179 +1,71 @@
 #include "rt/event_loop.h"
 
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
+#include <unistd.h>
 
 #include "util/check.h"
-
-#if defined(VLEASE_HAVE_EPOLL)
-#include <sys/epoll.h>
-#include <unistd.h>
-#endif
 
 namespace vlease::rt {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// poll(2) backend: a dense pollfd array, O(fds) per wait. This is the
-// seed implementation's data structure, kept as the portable fallback
-// and as the differential reference for the epoll backend's tests.
-// ---------------------------------------------------------------------
-class PollBackend final : public EventLoop {
- public:
-  void add(int fd, bool read, bool write) override {
-    VL_CHECK(fd >= 0);
-    VL_CHECK(indexOf(fd) == kNone);
-    pfds_.push_back(pollfd{fd, eventsFor(read, write), 0});
-  }
-
-  void mod(int fd, bool read, bool write) override {
-    const std::size_t i = indexOf(fd);
-    VL_CHECK(i != kNone);
-    pfds_[i].events = eventsFor(read, write);
-  }
-
-  void del(int fd) override {
-    const std::size_t i = indexOf(fd);
-    if (i == kNone) return;
-    pfds_[i] = pfds_.back();
-    pfds_.pop_back();
-  }
-
-  int wait(std::vector<Event>& out, int timeoutMs) override {
-    out.clear();
-    const int ready = ::poll(pfds_.data(), pfds_.size(), timeoutMs);
-    if (ready <= 0) return 0;  // timeout or EINTR
-    for (const pollfd& p : pfds_) {
-      if (p.revents == 0) continue;
-      Event ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & POLLIN) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-    return static_cast<int>(out.size());
-  }
-
-  Backend backend() const override { return Backend::kPoll; }
-  const char* name() const override { return "poll"; }
-
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  static short eventsFor(bool read, bool write) {
-    short ev = 0;
-    if (read) ev |= POLLIN;
-    if (write) ev |= POLLOUT;
-    return ev;
-  }
-
-  std::size_t indexOf(int fd) const {
-    for (std::size_t i = 0; i < pfds_.size(); ++i) {
-      if (pfds_[i].fd == fd) return i;
-    }
-    return kNone;
-  }
-
-  std::vector<pollfd> pfds_;
-};
-
-#if defined(VLEASE_HAVE_EPOLL)
-// ---------------------------------------------------------------------
-// epoll backend: O(ready) per wait regardless of watched-set size --
-// the population-scaling backend a lease server with tens of thousands
-// of client connections needs.
-// ---------------------------------------------------------------------
-class EpollBackend final : public EventLoop {
- public:
-  EpollBackend() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
-    VL_CHECK_MSG(epfd_ >= 0, "epoll_create1() failed");
-  }
-  ~EpollBackend() override { ::close(epfd_); }
-
-  void add(int fd, bool read, bool write) override {
-    VL_CHECK(fd >= 0);
-    epoll_event ev = eventFor(fd, read, write);
-    VL_CHECK_MSG(::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0,
-                 "epoll_ctl(ADD) failed");
-  }
-
-  void mod(int fd, bool read, bool write) override {
-    epoll_event ev = eventFor(fd, read, write);
-    VL_CHECK_MSG(::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0,
-                 "epoll_ctl(MOD) failed");
-  }
-
-  void del(int fd) override {
-    // ENOENT (never added) is the documented no-op; EBADF can happen
-    // when a caller closes before deleting -- the kernel already
-    // dropped the registration with the fd, so that is a no-op too.
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  int wait(std::vector<Event>& out, int timeoutMs) override {
-    out.clear();
-    const int ready =
-        ::epoll_wait(epfd_, raw_.data(), static_cast<int>(raw_.size()),
-                     timeoutMs);
-    if (ready <= 0) return 0;  // timeout or EINTR
-    out.reserve(static_cast<std::size_t>(ready));
-    for (int i = 0; i < ready; ++i) {
-      const epoll_event& e = raw_[static_cast<std::size_t>(i)];
-      Event ev;
-      ev.fd = e.data.fd;
-      ev.readable = (e.events & EPOLLIN) != 0;
-      ev.writable = (e.events & EPOLLOUT) != 0;
-      ev.error = (e.events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(ev);
-    }
-    // A full batch means more may be pending; grow so one wait keeps
-    // draining the whole ready set in a single syscall next time.
-    if (static_cast<std::size_t>(ready) == raw_.size()) {
-      raw_.resize(raw_.size() * 2);
-    }
-    return ready;
-  }
-
-  Backend backend() const override { return Backend::kEpoll; }
-  const char* name() const override { return "epoll"; }
-
- private:
-  static epoll_event eventFor(int fd, bool read, bool write) {
-    epoll_event ev{};
-    ev.events = 0;  // level-triggered (no EPOLLET; see header comment)
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    return ev;
-  }
-
-  int epfd_;
-  std::vector<epoll_event> raw_{64};
-};
-#endif  // VLEASE_HAVE_EPOLL
+epoll_event eventFor(int fd, bool read, bool write) {
+  epoll_event ev{};
+  ev.events = 0;  // level-triggered (no EPOLLET; see header comment)
+  if (read) ev.events |= EPOLLIN;
+  if (write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  return ev;
+}
 
 }  // namespace
 
-EventLoop::Backend EventLoop::defaultBackend() {
-#if defined(VLEASE_HAVE_EPOLL)
-  return Backend::kEpoll;
-#else
-  return Backend::kPoll;
-#endif
+EventLoop::EventLoop() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  VL_CHECK_MSG(epfd_ >= 0, "epoll_create1() failed");
 }
 
-std::unique_ptr<EventLoop> EventLoop::create(Backend backend) {
-#if defined(VLEASE_HAVE_EPOLL)
-  if (backend == Backend::kEpoll) return std::make_unique<EpollBackend>();
-#else
-  VL_CHECK_MSG(backend == Backend::kPoll,
-               "epoll backend not compiled in (VLEASE_HAVE_EPOLL off)");
-#endif
-  return std::make_unique<PollBackend>();
+EventLoop::~EventLoop() { ::close(epfd_); }
+
+void EventLoop::add(int fd, bool read, bool write) {
+  VL_CHECK(fd >= 0);
+  epoll_event ev = eventFor(fd, read, write);
+  VL_CHECK_MSG(::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0,
+               "epoll_ctl(ADD) failed");
+}
+
+void EventLoop::mod(int fd, bool read, bool write) {
+  epoll_event ev = eventFor(fd, read, write);
+  VL_CHECK_MSG(::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0,
+               "epoll_ctl(MOD) failed");
+}
+
+void EventLoop::del(int fd) {
+  // ENOENT (never added) is the documented no-op; EBADF can happen
+  // when a caller closes before deleting -- the kernel already
+  // dropped the registration with the fd, so that is a no-op too.
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+int EventLoop::wait(std::vector<Event>& out, int timeoutMs) {
+  out.clear();
+  const int ready = ::epoll_wait(epfd_, raw_.data(),
+                                 static_cast<int>(raw_.size()), timeoutMs);
+  if (ready <= 0) return 0;  // timeout or EINTR
+  out.reserve(static_cast<std::size_t>(ready));
+  for (int i = 0; i < ready; ++i) {
+    const epoll_event& e = raw_[static_cast<std::size_t>(i)];
+    Event ev;
+    ev.fd = e.data.fd;
+    ev.readable = (e.events & EPOLLIN) != 0;
+    ev.writable = (e.events & EPOLLOUT) != 0;
+    ev.error = (e.events & (EPOLLERR | EPOLLHUP)) != 0;
+    out.push_back(ev);
+  }
+  // A full batch means more may be pending; grow so one wait keeps
+  // draining the whole ready set in a single syscall next time.
+  if (static_cast<std::size_t>(ready) == raw_.size()) {
+    raw_.resize(raw_.size() * 2);
+  }
+  return ready;
 }
 
 }  // namespace vlease::rt

@@ -1,19 +1,10 @@
-// Readiness backend for the rt layer's event loops.
-//
-// One interface, two backends:
-//   * kEpoll (Linux): one epoll instance per loop; add/mod/del map to
-//     epoll_ctl and wait() to epoll_wait. Level-triggered on purpose --
-//     the transport drains sockets until EAGAIN anyway, and level
-//     triggering keeps the "handler didn't finish the job" case safe by
-//     construction (the fd simply reports ready again next wait).
-//   * kPoll (portable fallback): the pollfd array the rt layer started
-//     with, kept behind the same interface so a kqueue backend can slot
-//     in beside epoll later without touching the driver or transport.
-//
-// The configure-time default is epoll where <sys/epoll.h> exists
-// (VLEASE_HAVE_EPOLL, set by src/rt/CMakeLists.txt) and poll elsewhere;
-// EventLoop::create(Backend) overrides it at runtime so tests exercise
-// both backends on the same machine.
+// Readiness wait for the rt layer's event loops: one epoll instance per
+// loop. add/mod/del map to epoll_ctl and wait() to epoll_wait, so a
+// wait costs O(ready fds) however many connections are watched.
+// Level-triggered on purpose -- the transport drains sockets until
+// EAGAIN anyway, and level triggering keeps the "handler didn't finish
+// the job" case safe by construction (the fd simply reports ready again
+// next wait). The rt layer runs on Linux only.
 //
 // Contract notes:
 //   * interest is level-triggered for both read and write;
@@ -25,19 +16,17 @@
 //     transport tears connections down from several paths).
 #pragma once
 
-#include <cstddef>
-#include <memory>
+#include <sys/epoll.h>
+
 #include <vector>
 
 namespace vlease::rt {
 
 class EventLoop {
  public:
-  enum class Backend { kPoll, kEpoll };
-
-  /// One readiness report. `error` covers EPOLLERR/EPOLLHUP (POLLERR/
-  /// POLLHUP); callers treat it like readability so the read path
-  /// observes the EOF/error and closes the connection.
+  /// One readiness report. `error` covers EPOLLERR/EPOLLHUP; callers
+  /// treat it like readability so the read path observes the EOF/error
+  /// and closes the connection.
   struct Event {
     int fd = -1;
     bool readable = false;
@@ -45,30 +34,28 @@ class EventLoop {
     bool error = false;
   };
 
-  virtual ~EventLoop() = default;
+  EventLoop();
+  ~EventLoop();
+
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   /// Register `fd` with the given interest set. Registering an fd twice
-  /// is a programming error on the epoll backend; use mod().
-  virtual void add(int fd, bool read, bool write) = 0;
+  /// is a programming error; use mod().
+  void add(int fd, bool read, bool write);
   /// Change the interest set of a registered fd.
-  virtual void mod(int fd, bool read, bool write) = 0;
+  void mod(int fd, bool read, bool write);
   /// Remove an fd. No-op if it was never registered.
-  virtual void del(int fd) = 0;
+  void del(int fd);
 
   /// Block up to `timeoutMs` (0 = poll, <0 = forever) and append every
   /// ready fd to `out` (cleared first). Returns the number of events,
   /// 0 on timeout; EINTR is treated as a timeout.
-  virtual int wait(std::vector<Event>& out, int timeoutMs) = 0;
+  int wait(std::vector<Event>& out, int timeoutMs);
 
-  virtual Backend backend() const = 0;
-  virtual const char* name() const = 0;
-
-  /// The configure-time default backend (epoll when compiled in).
-  static Backend defaultBackend();
-  static std::unique_ptr<EventLoop> create(Backend backend);
-  static std::unique_ptr<EventLoop> create() {
-    return create(defaultBackend());
-  }
+ private:
+  int epfd_;
+  std::vector<epoll_event> raw_{64};
 };
 
 }  // namespace vlease::rt

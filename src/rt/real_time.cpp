@@ -1,16 +1,12 @@
 #include "rt/real_time.h"
 
-#include <fcntl.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <iterator>
 
 #include "util/check.h"
-
-#if defined(__linux__)
-#include <sys/eventfd.h>
-#endif
 
 namespace vlease::rt {
 
@@ -27,35 +23,17 @@ std::uint64_t threadToken() {
 
 }  // namespace
 
-RealTimeDriver::RealTimeDriver() : RealTimeDriver(EventLoop::defaultBackend()) {}
-
-RealTimeDriver::RealTimeDriver(EventLoop::Backend backend)
+RealTimeDriver::RealTimeDriver()
     : start_(std::chrono::steady_clock::now()),
-      loop_(EventLoop::create(backend)) {
-#if defined(__linux__)
-  wakeFd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+      wakeFd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   VL_CHECK_MSG(wakeFd_ >= 0, "eventfd() failed");
-  wakeWriteFd_ = wakeFd_;
-#else
-  int fds[2];
-  VL_CHECK_MSG(::pipe(fds) == 0, "pipe() failed");
-  for (const int fd : fds) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  wakeFd_ = fds[0];
-  wakeWriteFd_ = fds[1];
-#endif
   // The wake fd is registered like any other watched fd; its handler
   // just drains the counter. Its presence also means the readiness wait
   // is never a bare sleep: a cross-thread post() interrupts it.
   watchFd(wakeFd_, [this]() { drainWakeFd(); });
 }
 
-RealTimeDriver::~RealTimeDriver() {
-  ::close(wakeFd_);
-  if (wakeWriteFd_ != wakeFd_) ::close(wakeWriteFd_);
-}
+RealTimeDriver::~RealTimeDriver() { ::close(wakeFd_); }
 
 SimTime RealTimeDriver::rawElapsed() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -80,12 +58,12 @@ void RealTimeDriver::watchFd(int fd, FdHandler onReadable) {
   VL_CHECK(fd >= 0);
   VL_CHECK(fds_.count(fd) == 0);
   fds_.emplace(fd, FdHandlers{std::move(onReadable), nullptr, false});
-  loop_->add(fd, /*read=*/true, /*write=*/false);
+  loop_.add(fd, /*read=*/true, /*write=*/false);
 }
 
 void RealTimeDriver::unwatchFd(int fd) {
   if (fds_.erase(fd) == 0) return;
-  loop_->del(fd);
+  loop_.del(fd);
 }
 
 void RealTimeDriver::setWriteHandler(int fd, FdHandler onWritable) {
@@ -99,7 +77,7 @@ void RealTimeDriver::setWriteInterest(int fd, bool enabled) {
   if (it == fds_.end()) return;  // connection already torn down
   if (it->second.wantWrite == enabled) return;
   it->second.wantWrite = enabled;
-  loop_->mod(fd, /*read=*/true, /*write=*/enabled);
+  loop_.mod(fd, /*read=*/true, /*write=*/enabled);
 }
 
 void RealTimeDriver::addBeforeWaitHook(std::function<void()> hook) {
@@ -111,22 +89,15 @@ void RealTimeDriver::runBeforeWaitHooks() {
 }
 
 void RealTimeDriver::wake() {
-  if (wakeWriteFd_ < 0) return;
   const std::uint64_t one = 1;
-  // A full pipe / saturated counter already guarantees a pending wake.
-  [[maybe_unused]] ssize_t n =
-      ::write(wakeWriteFd_, &one, sizeof(one));
+  // A saturated counter already guarantees a pending wake.
+  [[maybe_unused]] ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
 void RealTimeDriver::drainWakeFd() {
-  std::uint64_t buf[16];
-#if defined(__linux__)
   // One eventfd read returns and resets the whole counter.
-  [[maybe_unused]] ssize_t n = ::read(wakeFd_, buf, sizeof(buf));
-#else
-  while (::read(wakeFd_, buf, sizeof(buf)) > 0) {
-  }
-#endif
+  std::uint64_t count;
+  [[maybe_unused]] ssize_t n = ::read(wakeFd_, &count, sizeof(count));
 }
 
 bool RealTimeDriver::onLoopThread() const {
@@ -185,7 +156,7 @@ void RealTimeDriver::step(int waitTimeoutMs) {
   // output buffers.
   runBeforeWaitHooks();
 
-  const int ready = loop_->wait(ready_, waitTimeoutMs);
+  const int ready = loop_.wait(ready_, waitTimeoutMs);
   if (ready > 0) {
     // Handlers may mutate the watch set (accept adds, close removes, a
     // handler may even close a LATER fd of this same batch): re-check

@@ -5,7 +5,9 @@
 // mutex, so interleaved parallel sweep runs never tear lines. A worker
 // running one sweep point installs a LogContext; every line it logs is
 // then prefixed with the point's label so parallel output stays
-// attributable.
+// attributable. A parallel sweep also collects each point's lines in a
+// buffer and writes them in spec order, whatever order the points
+// finish in.
 #pragma once
 
 #include <sstream>
@@ -20,11 +22,13 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /// Scoped, thread-local log label. While alive, every log line emitted
-/// from this thread carries "[label]" after the level. Nested contexts
-/// restore the enclosing label on destruction.
+/// from this thread carries "[label]" after the level and, when
+/// `capture` is given, is appended to it instead of written to stderr.
+/// Nested contexts restore the enclosing label and capture on
+/// destruction.
 class LogContext {
  public:
-  explicit LogContext(std::string label);
+  explicit LogContext(std::string label, std::string* capture = nullptr);
   ~LogContext();
 
   LogContext(const LogContext&) = delete;
@@ -35,7 +39,12 @@ class LogContext {
 
  private:
   std::string previous_;
+  std::string* previousCapture_;
 };
+
+/// Write lines a capturing LogContext collected to stderr, under the
+/// same lock as live lines.
+void emitCapturedLog(const std::string& lines);
 
 namespace detail {
 void logLine(LogLevel level, const std::string& msg);

@@ -603,7 +603,15 @@ void RefVolumeServer::commitWrite(ObjectId obj) {
     // pending-list (delayed) or reconnection (immediate) machinery.
     for (auto& [client, record] : st.holders) {
       if (graceExpire(record.expire) <= now) continue;
-      if (v.unreachable.count(client) > 0) continue;
+      if (v.unreachable.count(client) > 0) {
+        // An open exchange that already renewed this object at the old
+        // version must not clear Unreachable at its ack.
+        const Session* session = findSession(client, volId);
+        if (session != nullptr && session->awaitingAck) {
+          endSession(client, volId);
+        }
+        continue;
+      }
       if (mode_ == InvalidationMode::kDelayed) {
         auto vIt = v.holders.find(client);
         const SimTime volExpiredAt =

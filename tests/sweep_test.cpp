@@ -176,6 +176,29 @@ TEST(SweepTest, LogContextScopesLabel) {
   EXPECT_EQ(LogContext::current(), "");
 }
 
+/// runSweep's stderr at the given thread count, with every message send
+/// logged (kDebug), so each point writes many lines while it runs.
+std::string sweepStderr(const driver::SweepSpec& spec,
+                        const driver::Workload& workload, unsigned threads) {
+  const LogLevel level = logLevel();
+  setLogLevel(LogLevel::kDebug);
+  ::testing::internal::CaptureStderr();
+  driver::runSweep(spec, workload, {threads});
+  std::string out = ::testing::internal::GetCapturedStderr();
+  setLogLevel(level);
+  return out;
+}
+
+TEST(SweepTest, LogLinesComeOutInSpecOrderAtAnyThreadCount) {
+  driver::SweepSpec spec = gridSpec();
+  spec.workload.scale = 0.002;
+  const driver::Workload workload = driver::buildWorkload(spec.workload);
+  const std::string serial = sweepStderr(spec, workload, 1);
+  ASSERT_NE(serial.find("[sweep_test/Callback] "), std::string::npos);
+  EXPECT_TRUE(serial == sweepStderr(spec, workload, 4))
+      << "parallel sweep stderr differs from the serial run's";
+}
+
 TEST(SweepDeathTest, SimulationRunIsSingleShot) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   driver::WorkloadOptions opts;

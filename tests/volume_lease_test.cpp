@@ -245,6 +245,43 @@ TEST(VolumeReconnectTest, StaleReadImpossibleDespiteValidObjectLease) {
   EXPECT_EQ(h.metrics().staleReads(), 0);
 }
 
+// A by-expiry write that commits while an Unreachable client's
+// reconnection has renewed the object at the old version but not yet
+// been acked. (Traced from `vlease_chaos --algorithms volume --by-expiry
+// --seeds 1 --seed-base 8 --intensity low`: obj 4 renewed at v20, the
+// write to v21 commits at once, the ack clears Unreachable and the
+// volume grant lets three clients serve v20.) The commit must end the
+// session so its ack cannot re-admit the stale copy.
+TEST(VolumeReconnectTest, ByExpiryCommitDuringReconnectionIsNotServedStale) {
+  ProtocolConfig config =
+      volumeConfig(Algorithm::kVolumeLease, hours(10), sec(10));
+  config.writeByLeaseExpiry = true;
+  ProtoHarness h(config, 1, 2, /*objectsPerVolume=*/2);
+  h.read(0, 0);
+  h.read(0, 1);
+  h.advanceTo(sec(60));  // volume lease expired; object leases valid
+  h.write(1);            // commits now and moves client 0 to Unreachable
+  ASSERT_TRUE(vserver(h).isUnreachable(h.client(0), kVol));
+
+  h.network().setLatency(msec(20));
+  std::optional<proto::ReadResult> first;
+  h.sim->issueRead(h.client(0), makeObjectId(0),
+                   [&](const proto::ReadResult& r) { first = r; });
+  // REQ_VOL_LEASE lands at +20 ms and starts the reconnection; the
+  // renewal of object 0 at v1 lands at +60 ms and its batch is acked at
+  // +100 ms. The write below commits at once, between the two.
+  h.advanceTo(sec(60) + msec(70));
+  h.writeAsync(0);
+  EXPECT_EQ(vserver(h).currentVersion(makeObjectId(0)), 2);
+  // With the ack dropped, the read waits out its timeout; the next one
+  // reconnects afresh and learns that object 0 changed.
+  h.advanceTo(sec(60) + config.readTimeout + sec(1));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_FALSE(first->ok && first->version != 2);
+  EXPECT_EQ(h.read(0, 0).version, 2);
+  EXPECT_EQ(h.metrics().staleReads(), 0);
+}
+
 // ---------------------------------------------------------------------
 // crash recovery (paper §3.1.2)
 // ---------------------------------------------------------------------
