@@ -10,6 +10,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "net/transport.h"
@@ -94,6 +96,12 @@ enum class Algorithm {
 };
 
 const char* algorithmName(Algorithm algorithm);
+
+/// The tools' --algorithm names and their aliases: poll-each-read (per),
+/// poll, poll-adaptive (adaptive), callback, lease, best-effort
+/// (besteffort), volume, delay (delayed, volume-delay); nullopt for any
+/// other name.
+std::optional<Algorithm> algorithmByName(const std::string& name);
 
 struct ProtocolConfig {
   Algorithm algorithm = Algorithm::kVolumeLease;

@@ -95,19 +95,27 @@ TEST(ToolsTest, SimConsumesTraceFile) {
 
 TEST(ToolsTest, SimCsvOutputParses) {
   if (!toolsAvailable()) GTEST_SKIP() << "tools not in ./tools";
-  std::string out;
-  ASSERT_EQ(runTool(toolPath("vlsim") +
-                        " --algorithm lease --t 100 --scale 0.003 --csv",
-                    &out),
-            0)
-      << out;
-  // Header line + one data row.
-  std::istringstream ss(out);
-  std::string header, row;
-  ASSERT_TRUE(std::getline(ss, header));
-  ASSERT_TRUE(std::getline(ss, row));
-  EXPECT_NE(header.find("algorithm,t,tv,messages"), std::string::npos);
-  EXPECT_EQ(row.rfind("Lease,100,", 0), 0u);
+  // "volume-delay" is an alias from the shared proto::algorithmByName
+  // table, which vlsim and vlease_chaos once spelled differently.
+  const std::pair<const char*, const char*> cases[] = {
+      {"lease", "Lease,100,"},
+      {"volume-delay", "VolumeDelayedInval,100,"},
+  };
+  for (const auto& [algorithm, rowPrefix] : cases) {
+    std::string out;
+    ASSERT_EQ(runTool(toolPath("vlsim") + " --algorithm " + algorithm +
+                          " --t 100 --scale 0.003 --csv",
+                      &out),
+              0)
+        << out;
+    // Header line + one data row.
+    std::istringstream ss(out);
+    std::string header, row;
+    ASSERT_TRUE(std::getline(ss, header));
+    ASSERT_TRUE(std::getline(ss, row));
+    EXPECT_NE(header.find("algorithm,t,tv,messages"), std::string::npos);
+    EXPECT_EQ(row.rfind(rowPrefix, 0), 0u) << algorithm << ": " << row;
+  }
 }
 
 TEST(ToolsTest, SimRejectsUnknownAlgorithm) {
@@ -147,6 +155,18 @@ TEST(ToolsTest, ChaosRejectsFlashCrowdLargerThanClientCount) {
   EXPECT_EQ(WEXITSTATUS(rc), 0) << out;
 }
 
+TEST(ToolsTest, ChaosRejectsPollBaselines) {
+  const std::string chaos = toolPath("vlease_chaos");
+  if (chaos.empty()) GTEST_SKIP() << "tools not in ./tools";
+  // The shared name table knows "poll", but the chaos sweep runs only
+  // the server-invalidation algorithms: a usage error, not a run.
+  std::string out;
+  const int rc = runTool(chaos + " --seeds 1 --algorithms volume,poll", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << out;
+  EXPECT_NE(out.find("'poll' is a poll baseline"), std::string::npos) << out;
+}
+
 TEST(ToolsTest, ScaleRejectsBadSizes) {
   const std::string scale = toolPath("vlease_scale");
   if (scale.empty()) GTEST_SKIP() << "tools not in ./tools";
@@ -174,6 +194,7 @@ TEST(ToolsTest, RtRejectsUnknownNames) {
   // scenario.
   const std::pair<const char*, const char*> cases[] = {
       {"--algorithm delya", "unknown algorithm 'delya'"},
+      {"--algorithm lease", "'lease' is not a volume algorithm"},
       {"--intensity hgih", "unknown intensity 'hgih'"},
       {"--scenario recovrey", "unknown scenario 'recovrey'"},
   };

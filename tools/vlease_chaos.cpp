@@ -39,17 +39,6 @@ using namespace vlease;
 
 namespace {
 
-std::optional<proto::Algorithm> parseAlgorithm(const std::string& name) {
-  if (name == "callback") return proto::Algorithm::kCallback;
-  if (name == "lease") return proto::Algorithm::kLease;
-  if (name == "volume") return proto::Algorithm::kVolumeLease;
-  if (name == "delay" || name == "volume-delay")
-    return proto::Algorithm::kVolumeDelayedInval;
-  if (name == "best-effort" || name == "besteffort")
-    return proto::Algorithm::kBestEffortLease;
-  return std::nullopt;
-}
-
 /// Clock-skew budget B by named intensity. The budget is the bound on
 /// every node's |skew| (FaultPlan::random guarantees it); sized against
 /// the tool's volumeTimeout = 30s so high skew is a third of t_v.
@@ -160,9 +149,19 @@ int main(int argc, char** argv) {
       epsilonMs < 0 ? *skewBudget : msec(epsilonMs);
   std::vector<proto::Algorithm> algorithms;
   for (const std::string& name : splitCsv(flags.getString("algorithms"))) {
-    const auto algorithm = parseAlgorithm(name);
+    const auto algorithm = proto::algorithmByName(name);
     if (!algorithm) {
       std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());
+      return 1;
+    }
+    if (*algorithm == proto::Algorithm::kPollEachRead ||
+        *algorithm == proto::Algorithm::kPoll ||
+        *algorithm == proto::Algorithm::kPollAdaptive) {
+      std::fprintf(stderr,
+                   "'%s' is a poll baseline; vlease_chaos runs the "
+                   "server-invalidation algorithms only "
+                   "(callback|lease|volume|delay|best-effort)\n",
+                   name.c_str());
       return 1;
     }
     algorithms.push_back(*algorithm);

@@ -26,7 +26,6 @@
 //   $ vlease_rt --scenario recovery            # deterministic mid-run
 //                                              # server SIGKILL + restart
 //   $ vlease_rt --break-invalidation           # must exit non-zero
-//   $ vlease_rt --bench-loopback               # messages/second JSON
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -39,7 +38,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -134,9 +132,7 @@ HarnessRun buildRun(std::uint64_t seed, const Flags& flags) {
   // Second-scale leases so expiry, renewal, and the recovery wait all
   // happen inside a seconds-long real run.
   proto::ProtocolConfig& config = run.config;
-  config.algorithm = flags.getString("algorithm") == "delay"
-                         ? proto::Algorithm::kVolumeDelayedInval
-                         : proto::Algorithm::kVolumeLease;
+  config.algorithm = *proto::algorithmByName(flags.getString("algorithm"));
   config.objectTimeout = msec(3000);
   config.volumeTimeout = msec(800);
   config.msgTimeout = msec(400);
@@ -643,90 +639,6 @@ int parentMain(const Flags& flags, const std::string& execPath) {
   return failures == 0 ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------
-// loopback benchmark: messages/second through two real TcpTransports
-// ---------------------------------------------------------------------
-
-class EchoSink final : public net::MessageSink {
- public:
-  EchoSink(net::Transport& transport, NodeId self)
-      : transport_(transport), self_(self) {}
-  void deliver(const net::Message& msg) override {
-    ++received_;
-    net::Message reply;
-    reply.from = self_;
-    reply.to = msg.from;
-    reply.payload = msg.payload;
-    transport_.send(std::move(reply));
-  }
-  std::int64_t received() const { return received_; }
-
- private:
-  net::Transport& transport_;
-  NodeId self_;
-  std::int64_t received_ = 0;
-};
-
-int benchLoopback(const Flags& flags) {
-  const std::int64_t benchMs = flags.getInt("bench-ms");
-  // Concurrent ping-pong messages in flight.
-  const int balls = 16;
-
-  rt::RealTimeDriver driver;
-  stats::Metrics metrics;
-  rt::TcpTransport a(driver, metrics, 0);
-  rt::TcpTransport b(driver, metrics, 0);
-  const NodeId nodeA = makeNodeId(0);
-  const NodeId nodeB = makeNodeId(1);
-  a.addPeer(nodeB, "127.0.0.1", b.listenPort());
-  b.addPeer(nodeA, "127.0.0.1", a.listenPort());
-
-  EchoSink sinkA(a, nodeA);
-  EchoSink sinkB(b, nodeB);
-  a.attach(nodeA, &sinkA);
-  b.attach(nodeB, &sinkB);
-
-  for (int i = 0; i < balls; ++i) {
-    net::Message ping;
-    ping.from = nodeA;
-    ping.to = nodeB;
-    ping.payload = net::PollRequest{makeObjectId(static_cast<std::uint64_t>(i)),
-                                    1};
-    a.send(std::move(ping));
-  }
-
-  // Process CPU time leaves out what a shared host takes away (steal,
-  // time slices given to other tenants), which wall time does not.
-  auto processCpuSec = [] {
-    timespec ts{};
-    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  };
-  const double cpuStart = processCpuSec();
-  const SimTime start = driver.elapsed();
-  driver.run(/*forMicros=*/benchMs * 1000);
-  const double elapsedSec =
-      static_cast<double>(driver.elapsed() - start) / 1e6;
-  const double cpuSec = processCpuSec() - cpuStart;
-  const std::int64_t messages = sinkA.received() + sinkB.received();
-  const double perSec =
-      elapsedSec > 0 ? static_cast<double>(messages) / elapsedSec : 0.0;
-  const double perCpuSec =
-      cpuSec > 0 ? static_cast<double>(messages) / cpuSec : 0.0;
-
-  std::printf("{\"benchmark\": \"RtLoopback\", \"messages\": %lld, "
-              "\"seconds\": %.3f, \"messages_per_second\": %.0f, "
-              "\"cpu_seconds\": %.3f, \"messages_per_cpu_second\": %.0f, "
-              "\"frames_sent\": %lld, \"frames_received\": %lld}\n",
-              static_cast<long long>(messages), elapsedSec, perSec, cpuSec,
-              perCpuSec,
-              static_cast<long long>(a.framesSent() + b.framesSent()),
-              static_cast<long long>(a.framesReceived() +
-                                     b.framesReceived()));
-  return messages > 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -763,14 +675,19 @@ int main(int argc, char** argv) {
   flags.addBool("cold-restart", false,
                 "worker mode: server resumes from its durable log and "
                 "waits out one lease term + epsilon before writing");
-  // bench mode
-  flags.addBool("bench-loopback", false,
-                "run the loopback messages/second benchmark and exit");
-  flags.addInt("bench-ms", 2000, "loopback benchmark duration");
   if (!flags.parse(argc, argv)) return 1;
   const std::string algorithm = flags.getString("algorithm");
-  if (algorithm != "volume" && algorithm != "delay") {
+  const auto selected = proto::algorithmByName(algorithm);
+  if (!selected) {
     std::fprintf(stderr, "unknown algorithm '%s' (volume|delay)\n",
+                 algorithm.c_str());
+    return 1;
+  }
+  if (*selected != proto::Algorithm::kVolumeLease &&
+      *selected != proto::Algorithm::kVolumeDelayedInval) {
+    std::fprintf(stderr,
+                 "'%s' is not a volume algorithm; vlease_rt runs "
+                 "volume|delay only\n",
                  algorithm.c_str());
     return 1;
   }
@@ -786,7 +703,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.getBool("bench-loopback")) return benchLoopback(flags);
   if (flags.getInt("node") >= 0) return workerMain(flags);
 
   char exe[4096];

@@ -242,8 +242,6 @@ int main(int argc, char** argv) {
     controlLoad = windowLoad(m, catalog, stream.flashAt - width,
                              stream.flashAt);
   }
-  // items_per_second mirrors the google-benchmark JSON key so
-  // scripts/bench.sh can gate on it the same way.
   std::printf(
       "{\n"
       "  \"clients\": %u,\n"

@@ -22,26 +22,6 @@
 
 using namespace vlease;
 
-namespace {
-
-std::optional<proto::Algorithm> parseAlgorithm(const std::string& name) {
-  if (name == "poll-each-read" || name == "per")
-    return proto::Algorithm::kPollEachRead;
-  if (name == "poll") return proto::Algorithm::kPoll;
-  if (name == "poll-adaptive" || name == "adaptive")
-    return proto::Algorithm::kPollAdaptive;
-  if (name == "callback") return proto::Algorithm::kCallback;
-  if (name == "lease") return proto::Algorithm::kLease;
-  if (name == "best-effort" || name == "besteffort")
-    return proto::Algorithm::kBestEffortLease;
-  if (name == "volume") return proto::Algorithm::kVolumeLease;
-  if (name == "delay" || name == "delayed")
-    return proto::Algorithm::kVolumeDelayedInval;
-  return std::nullopt;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags;
   flags.addString("trace", "", "VLTRACE file (empty: generate a workload)");
@@ -65,7 +45,7 @@ int main(int argc, char** argv) {
   driver::addSweepFlags(flags);  // --scale --seed --threads --csv --json
   if (!flags.parse(argc, argv)) return 1;
 
-  auto algorithm = parseAlgorithm(flags.getString("algorithm"));
+  auto algorithm = proto::algorithmByName(flags.getString("algorithm"));
   if (!algorithm) {
     std::fprintf(stderr, "unknown algorithm '%s'\n",
                  flags.getString("algorithm").c_str());
