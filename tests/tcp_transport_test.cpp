@@ -513,6 +513,59 @@ TEST(TcpTransportOwner, SendsBetweenStepsLeaveInTheNextStep) {
   EXPECT_EQ(sender.sendFailures(), 0);
 }
 
+/// Sends every frame back to where it came from.
+struct EchoSink : net::MessageSink {
+  explicit EchoSink(net::Transport& transport) : transport(transport) {}
+  void deliver(const net::Message& msg) override {
+    transport.send(net::Message{msg.to, msg.from, msg.payload});
+  }
+  net::Transport& transport;
+};
+
+/// Counts frames delivered on the thread that steps its driver.
+struct CountSink : net::MessageSink {
+  void deliver(const net::Message&) override { ++received; }
+  std::int64_t received = 0;
+};
+
+TEST(TcpTransportOwner, QueuedSendsLeaveBeforeTheStepWaits) {
+  // The owner's sends between steps leave before the next step's
+  // readiness wait, not after it, so the echoed replies wake that wait.
+  // Were they flushed only after the wait, the step would sleep out its
+  // whole timeout with the requests still queued.
+  const NodeId self = makeNodeId(0);
+  const NodeId echo = makeNodeId(1);
+  RealTimeDriver peerDriver;
+  stats::Metrics peerMetrics;
+  TcpTransport peer(peerDriver, peerMetrics, /*port=*/0);
+  EchoSink echoSink(peer);
+  peer.attach(echo, &echoSink);
+
+  RealTimeDriver driver;
+  stats::Metrics metrics;
+  TcpTransport sender(driver, metrics, /*port=*/0);
+  CountSink replies;
+  sender.attach(self, &replies);
+  sender.addPeer(echo, "127.0.0.1", peer.listenPort());
+  peer.addPeer(self, "127.0.0.1", sender.listenPort());
+  std::thread peerThread([&peerDriver]() { peerDriver.run(); });
+  driver.step(0);  // this thread is now the owner
+
+  for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
+  const auto t0 = std::chrono::steady_clock::now();
+  driver.step(5000);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst));
+  for (int i = 0; i < 200 && replies.received < std::int64_t{kBurst}; ++i) {
+    driver.step(10);
+  }
+  EXPECT_EQ(replies.received, static_cast<std::int64_t>(kBurst));
+
+  peerDriver.stop();
+  peerThread.join();
+}
+
 TEST(TcpTransportOwner, ThreadThatNeverSteppedSendsInline) {
   // Another thread (after the owner stepped, handed over by thread
   // start and join) keeps the blocking path: each frame is on the wire
