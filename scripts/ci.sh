@@ -124,6 +124,10 @@ fi
 # keep the stage fast; the full 8-seed x 2-intensity sweep is a
 # pre-merge gate via `vlease_rt --seeds 8 --intensity low|medium`.
 build/tools/vlease_rt --seeds 2 --intensity low --duration-ms 4000
+# The same smoke for Delayed Invalidations: every rt run shares the
+# transport's send path and the fault shim, whichever algorithm it runs.
+build/tools/vlease_rt --algorithm delay --seeds 2 --intensity low \
+  --duration-ms 4000
 
 # Deterministic crashed-server recovery: SIGKILL the server mid-run,
 # cold-restart it from its durable log, and require no write to commit

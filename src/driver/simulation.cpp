@@ -52,11 +52,10 @@ void Simulation::installFaultPlan(const net::FaultPlan& plan) {
 
 void Simulation::applyFault(const net::FaultEvent& event) {
   if (oracle_) oracle_->onFault(event, scheduler_.now());
-  net::FailureModel& failures = network_->failures();
+  net::applyToFailures(event, network_->failures());
   using Kind = net::FaultEvent::Kind;
   switch (event.kind) {
     case Kind::kCrash:
-      failures.crash(event.a);
       if (catalog_.isServer(event.a)) {
         // Volatile lease state dies with the process; the recovery
         // bookkeeping (recoveryUntil, epoch bump) is anchored at the
@@ -65,26 +64,10 @@ void Simulation::applyFault(const net::FaultEvent& event) {
       }
       break;
     case Kind::kRecover:
-      failures.recover(event.a);
       if (catalog_.isClient(event.a)) {
         // A rebooted client comes back with a cold cache.
         protocol_.client(catalog_, event.a).dropCache();
       }
-      break;
-    case Kind::kPartition:
-      failures.partition(event.a, event.b);
-      break;
-    case Kind::kHeal:
-      failures.heal(event.a, event.b);
-      break;
-    case Kind::kIsolate:
-      failures.isolate(event.a);
-      break;
-    case Kind::kDeisolate:
-      failures.deisolate(event.a);
-      break;
-    case Kind::kSetLoss:
-      failures.setLossProbability(event.lossProb);
       break;
     case Kind::kSkew:
       clocks_.setOffset(event.a, scheduler_.now(), event.offset);
@@ -92,6 +75,12 @@ void Simulation::applyFault(const net::FaultEvent& event) {
     case Kind::kDrift:
       clocks_.setDrift(event.a, scheduler_.now(), event.ppm);
       break;
+    case Kind::kPartition:
+    case Kind::kHeal:
+    case Kind::kIsolate:
+    case Kind::kDeisolate:
+    case Kind::kSetLoss:
+      break;  // the failure model's alone
   }
 }
 

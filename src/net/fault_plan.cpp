@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/failure.h"
 #include "util/check.h"
 #include "util/time.h"
 
@@ -283,6 +284,36 @@ FaultPlan FaultPlan::random(Rng& rng, const RandomOptions& options,
   }
 
   return plan;
+}
+
+void applyToFailures(const FaultEvent& event, FailureModel& failures) {
+  using Kind = FaultEvent::Kind;
+  switch (event.kind) {
+    case Kind::kCrash:
+      failures.crash(event.a);
+      break;
+    case Kind::kRecover:
+      failures.recover(event.a);
+      break;
+    case Kind::kPartition:
+      failures.partition(event.a, event.b);
+      break;
+    case Kind::kHeal:
+      failures.heal(event.a, event.b);
+      break;
+    case Kind::kIsolate:
+      failures.isolate(event.a);
+      break;
+    case Kind::kDeisolate:
+      failures.deisolate(event.a);
+      break;
+    case Kind::kSetLoss:
+      failures.setLossProbability(event.lossProb);
+      break;
+    case Kind::kSkew:
+    case Kind::kDrift:
+      break;
+  }
 }
 
 }  // namespace vlease::net

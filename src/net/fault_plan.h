@@ -25,6 +25,8 @@
 
 namespace vlease::net {
 
+class FailureModel;
+
 struct FaultEvent {
   enum class Kind {
     kCrash,      // node `a` goes down (state lost; messages vanish)
@@ -142,5 +144,13 @@ class FaultPlan {
   mutable std::vector<FaultEvent> events_;
   mutable bool sorted_ = true;
 };
+
+/// Apply the network half of `event` to `failures`: crash, recover,
+/// partition, heal, isolate, deisolate and set-loss. Skew and drift act
+/// on clocks, not on the failure model, and are left to the caller. The
+/// simulator and the real-process fault shim share this one mapping, so
+/// both read a plan the same way (a cut link, say, is healed by its
+/// first heal event, however many partitions of it overlap).
+void applyToFailures(const FaultEvent& event, FailureModel& failures);
 
 }  // namespace vlease::net

@@ -1,7 +1,5 @@
 #include "rt/fault_injector.h"
 
-#include <algorithm>
-
 namespace vlease::rt {
 
 namespace {
@@ -50,18 +48,6 @@ FaultShim::FaultShim(const net::FaultPlan& plan, NodeId self,
   }
 }
 
-bool FaultShim::isIsolated(NodeId node) const {
-  const std::uint32_t i = raw(node);
-  return i < isolated_.size() && isolated_[i] != 0;
-}
-
-bool FaultShim::isPartitioned(NodeId a, NodeId b) const {
-  for (const auto& [x, y] : cutLinks_) {
-    if ((x == a && y == b) || (x == b && y == a)) return true;
-  }
-  return false;
-}
-
 void FaultShim::applyClock(SimTime rawNow) {
   if (driver_ == nullptr) return;
   const double drifted = driftPpm_ *
@@ -75,31 +61,8 @@ void FaultShim::advance(SimTime rawNow) {
   while (next_ < events_.size() && events_[next_].at <= rawNow) {
     const FaultEvent& e = events_[next_];
     ++next_;
+    net::applyToFailures(e, failures_);
     switch (e.kind) {
-      case FaultEvent::Kind::kIsolate:
-      case FaultEvent::Kind::kDeisolate: {
-        const std::uint32_t i = raw(e.a);
-        if (i >= isolated_.size()) isolated_.resize(i + 1, 0);
-        isolated_[i] = e.kind == FaultEvent::Kind::kIsolate ? 1 : 0;
-        break;
-      }
-      case FaultEvent::Kind::kPartition:
-        cutLinks_.emplace_back(e.a, e.b);
-        break;
-      case FaultEvent::Kind::kHeal: {
-        auto it = std::find_if(cutLinks_.begin(), cutLinks_.end(),
-                               [&](const auto& link) {
-                                 return (link.first == e.a &&
-                                         link.second == e.b) ||
-                                        (link.first == e.b &&
-                                         link.second == e.a);
-                               });
-        if (it != cutLinks_.end()) cutLinks_.erase(it);
-        break;
-      }
-      case FaultEvent::Kind::kSetLoss:
-        lossProb_ = e.lossProb;
-        break;
       case FaultEvent::Kind::kSkew:
         if (e.a == self_) {
           // A step sets the TOTAL skew; fold accrued drift into the
@@ -116,9 +79,9 @@ void FaultShim::advance(SimTime rawNow) {
           clockDirty = true;
         }
         break;
-      case FaultEvent::Kind::kCrash:
-      case FaultEvent::Kind::kRecover:
-        break;  // parent lane; filtered out in the constructor
+      default:
+        break;  // applied to failures_ above (crash/recover never reach
+                // the shim: the constructor filters the parent lane out)
     }
   }
   if (clockDirty) applyClock(rawNow);
@@ -126,11 +89,12 @@ void FaultShim::advance(SimTime rawNow) {
 
 SendFault FaultShim::onSend(NodeId from, NodeId to, std::size_t frameBytes) {
   SendFault fault;
-  if (isIsolated(from) || isIsolated(to) || isPartitioned(from, to)) {
+  if (!failures_.isReachable(from, to)) {
     fault.kind = SendFault::Kind::kDrop;
     return fault;
   }
-  if (lossProb_ > 0.0 && rng_.nextDouble() < lossProb_) {
+  const double lossProb = failures_.lossProbability();
+  if (lossProb > 0.0 && rng_.nextDouble() < lossProb) {
     // A lost frame usually just vanishes; some of the time it dies
     // mid-flight instead, exercising the receiver's partial-frame
     // rejection and the CRC seal at every byte offset.
@@ -149,7 +113,7 @@ SendFault FaultShim::onSend(NodeId from, NodeId to, std::size_t frameBytes) {
 bool FaultShim::dropInbound(NodeId from, NodeId to) {
   // Reachability windows apply to frames already in flight when the
   // window opened; probabilistic loss is charged once, at the sender.
-  return isIsolated(from) || isIsolated(to) || isPartitioned(from, to);
+  return !failures_.allowsInFlightDelivery(from, to);
 }
 
 }  // namespace vlease::rt

@@ -26,11 +26,12 @@
 // invokes kill/respawn callbacks (SIGKILL + re-exec in vlease_rt;
 // injectable lambdas in tests). FaultShim is the CHILD side: installed
 // as the TcpTransport's FaultHook and stepped from the driver's step
-// hook, it applies partition/isolate/loss windows at the socket and
-// skew/drift at the clock. Both advance on the RAW shared timeline
-// (unskewed microseconds since the common t0), so every process applies
-// each window at the same wall-clock instant regardless of its own
-// injected skew.
+// hook, it applies partition/isolate/loss windows at the socket -- held
+// in a net::FailureModel fed by the simulator's own event mapping,
+// net::applyToFailures() -- and skew/drift at the clock. Both advance on
+// the RAW shared timeline (unskewed microseconds since the common t0),
+// so every process applies each window at the same wall-clock instant
+// regardless of its own injected skew.
 //
 // Determinism caveat: the loss draws are per-(shim, frame) from a seeded
 // stream, so a run's injected faults are reproducible given the same
@@ -44,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/failure.h"
 #include "net/fault_plan.h"
 #include "rt/real_time.h"
 #include "rt/tcp_transport.h"
@@ -92,10 +94,8 @@ class FaultShim final : public FaultHook {
   SendFault onSend(NodeId from, NodeId to, std::size_t frameBytes) override;
   bool dropInbound(NodeId from, NodeId to) override;
 
-  // ---- introspection (tests) ----
-  bool isIsolated(NodeId node) const;
-  bool isPartitioned(NodeId a, NodeId b) const;
-  double lossProbability() const { return lossProb_; }
+  /// The window state applied so far (tests).
+  const net::FailureModel& failures() const { return failures_; }
 
  private:
   void applyClock(SimTime rawNow);
@@ -106,9 +106,7 @@ class FaultShim final : public FaultHook {
   RealTimeDriver* driver_;
   Rng rng_;
 
-  std::vector<std::uint8_t> isolated_;              // by raw node id
-  std::vector<std::pair<NodeId, NodeId>> cutLinks_;  // unordered pairs
-  double lossProb_ = 0.0;
+  net::FailureModel failures_;  // isolation, partition and loss windows
 
   // Clock lane (self only): step offset + drift accrued from an anchor.
   SimDuration skewOffset_ = 0;

@@ -100,13 +100,10 @@ void RealTimeDriver::drainWakeFd() {
   [[maybe_unused]] ssize_t n = ::read(wakeFd_, &count, sizeof(count));
 }
 
-bool RealTimeDriver::onLoopThread() const {
-  const std::uint64_t self = threadToken();
-  // One thread at a time: a caller outside a step while another thread
-  // is inside one would race that step's flush of the send queues.
-  VL_DCHECK(stepping_.load(std::memory_order_relaxed) == 0 ||
-            stepping_.load(std::memory_order_relaxed) == self);
-  return owner_.load(std::memory_order_relaxed) == self;
+void RealTimeDriver::checkNoOtherStep() const {
+  [[maybe_unused]] const std::uint64_t inside =
+      stepping_.load(std::memory_order_relaxed);
+  VL_DCHECK(inside == 0 || inside == threadToken());
 }
 
 void RealTimeDriver::post(std::function<void()> fn) {
@@ -142,17 +139,15 @@ void RealTimeDriver::drainPosts() {
 }
 
 void RealTimeDriver::step(int waitTimeoutMs) {
-  const std::uint64_t self = threadToken();
-  owner_.store(self, std::memory_order_relaxed);
   const std::uint64_t outerStep = stepping_.load(std::memory_order_relaxed);
-  stepping_.store(self, std::memory_order_relaxed);
+  stepping_.store(threadToken(), std::memory_order_relaxed);
 
   drainPosts();
   if (stepHook_) stepHook_(rawElapsed());
   scheduler_.runUntil(elapsed());
 
-  // Anything the owner sent since the last step, and anything the posts
-  // or timers queued, leaves now, so the wait below blocks with empty
+  // Anything sent since the last step, and anything the posts or
+  // timers queued, leaves now, so the wait below blocks with empty
   // output buffers.
   runBeforeWaitHooks();
 

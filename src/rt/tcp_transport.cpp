@@ -30,6 +30,11 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 /// Frames gathered per writev (IOV_MAX is >= 1024 everywhere; 64 keeps
 /// the stack frame small and one syscall already amortizes fine).
 constexpr int kMaxIov = 64;
+/// Back-pressure bound: a connection whose pending queue would exceed
+/// this is treated as wedged. A single frame is always admitted.
+constexpr std::size_t kMaxPendingWriteBytes = 16u << 20;
+/// First retry backoff (see Options::retryBackoffCapMs).
+constexpr std::int64_t kRetryBackoffBaseMs = 2;
 
 void setNoDelay(int fd) {
   int one = 1;
@@ -81,10 +86,10 @@ TcpTransport::TcpTransport(RealTimeDriver& driver, stats::Metrics& metrics,
 }
 
 TcpTransport::~TcpTransport() {
-  // Frames still queued -- sent by the owner after its last step, or
-  // left by a short write -- get one bounded, nonblocking drain: every
-  // connection shares a deadline of writeStallTimeoutMs. Frames a peer
-  // does not take by then are dropped with a warning.
+  // Frames still queued -- sent after the last step, or left by a short
+  // write -- get one bounded, nonblocking drain: every connection
+  // shares a deadline of writeStallTimeoutMs. Frames a peer does not
+  // take by then are dropped with a warning.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.writeStallTimeoutMs);
   std::vector<int> fds;
@@ -144,9 +149,9 @@ void TcpTransport::closeConnection(int fd) {
   auto it = connections_.find(fd);
   if (it != connections_.end()) {
     Connection& conn = it->second;
-    // Frames still queued die with the connection (read-path EOF races
-    // the flush); account them so every admitted frame ends up in
-    // framesSent or sendFailures.
+    // Frames still queued die with the connection (at teardown; every
+    // other path salvages them first); account them so every admitted
+    // frame ends up in framesSent or sendFailures.
     if (conn.pendingHead > 0) {
       ++partialFrameAborts_;
       metrics_.onTransportFrameAbort();
@@ -242,7 +247,14 @@ void TcpTransport::readReady(int fd) {
                     << " byte prefix rejected";
       }
     }
-    closeConnection(fd);
+    if (conn.pending.empty()) {
+      closeConnection(fd);
+    } else {
+      // An outbound connection died with frames queued (a peer that
+      // reset it mid-backlog): resend them whole on a fresh connection.
+      const NodeId node = conn.peerNode;
+      retryFrames(node, abortConnection(fd));
+    }
   } else if (offset == conn.buffer.size()) {
     conn.buffer.clear();
     conn.head = 0;
@@ -389,26 +401,7 @@ TcpTransport::FlushResult TcpTransport::flushOnce(Connection& conn) {
   return FlushResult::kDrained;
 }
 
-bool TcpTransport::syncDrain(Connection& conn) {
-  for (;;) {
-    const FlushResult r = flushOnce(conn);
-    if (r == FlushResult::kDrained) {
-      armWrite(conn, false);
-      return true;
-    }
-    if (r == FlushResult::kDead) return false;
-    // Nonblocking socket with a full buffer: wait for space, bounded.
-    // Frames are small (tens of bytes to a few KB) and peers drain
-    // continuously, so the configured stall timeout covers any
-    // scheduling hiccup on a loaded host without letting a truly
-    // wedged peer block the sender forever; on timeout the frame is
-    // dropped (Transport is best-effort).
-    pollfd p{conn.fd, POLLOUT, 0};
-    if (::poll(&p, 1, options_.writeStallTimeoutMs) <= 0) return false;
-  }
-}
-
-void TcpTransport::flushAsync(Connection& conn) {
+void TcpTransport::flush(Connection& conn) {
   const FlushResult r = flushOnce(conn);
   if (r == FlushResult::kDrained) {
     armWrite(conn, false);
@@ -419,8 +412,7 @@ void TcpTransport::flushAsync(Connection& conn) {
     return;                // the socket drains
   }
   // The peer vanished with frames queued: salvage whole frames and
-  // retry them once on a fresh connection (mirrors the blocking path's
-  // reconnect-and-resend).
+  // resend them on a fresh connection.
   const int fd = conn.fd;
   const NodeId node = conn.peerNode;
   retryFrames(node, abortConnection(fd));
@@ -435,14 +427,14 @@ void TcpTransport::flushDirty() {
     if (it == connections_.end()) continue;
     it->second.dirty = false;
     if (it->second.pending.empty() || it->second.writeArmed) continue;
-    flushAsync(it->second);
+    flush(it->second);
   }
 }
 
 void TcpTransport::onWritable(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  flushAsync(it->second);
+  flush(it->second);
 }
 
 void TcpTransport::retryFrames(NodeId node,
@@ -480,69 +472,35 @@ void TcpTransport::retryFrames(NodeId node,
   sendFailures_ += static_cast<std::int64_t>(frames.size());
 }
 
-bool TcpTransport::trySendFrame(NodeId node, Peer& peer,
-                                std::vector<std::uint8_t>& frame, bool async) {
+void TcpTransport::enqueue(NodeId node, Peer& peer,
+                           std::vector<std::uint8_t> frame) {
   const int fd = connectPeer(node, peer);
-  if (fd < 0) return false;
-  Connection& conn = connections_.at(fd);
-  if (async && !conn.pending.empty() &&
-      conn.pendingBytes + frame.size() > options_.maxPendingWriteBytes) {
+  if (fd >= 0) {
+    Connection& conn = connections_.at(fd);
+    if (conn.pending.empty() ||
+        conn.pendingBytes + frame.size() <= kMaxPendingWriteBytes) {
+      // The frame leaves at the driver's next before-wait flush,
+      // gathered with everything else queued by then. If EPOLLOUT is
+      // armed the socket is full; the flush continuation picks the
+      // frame up instead.
+      conn.pendingBytes += frame.size();
+      conn.pending.push_back(std::move(frame));
+      if (!conn.writeArmed) markDirty(conn);
+      return;
+    }
     // Back-pressure wedge: the peer stopped draining and the queue hit
-    // its bound. Abort the connection (prefix dies with it), charge the
-    // backlog as failures, and let the caller's bounded retry reconnect
-    // fresh with just the new frame.
-    auto dropped = abortConnection(fd);
-    sendFailures_ += static_cast<std::int64_t>(dropped.size());
-    return false;
+    // its bound. Abort the connection (the prefix dies with it), charge
+    // the backlog as failures, and resend just the new frame fresh.
+    sendFailures_ += static_cast<std::int64_t>(abortConnection(fd).size());
   }
-  conn.pendingBytes += frame.size();
-  if (async) {
-    // Coalesce: the frame leaves in the driver's next before-wait flush
-    // (this loop iteration for a handler, the next step for the owner
-    // between steps), gathered with everything else queued by then. If
-    // EPOLLOUT is armed the socket is full; the flush continuation
-    // picks the frame up instead. Moved: an admitted frame is never
-    // retried by the caller.
-    conn.pending.push_back(std::move(frame));
-    if (!conn.writeArmed) markDirty(conn);
-    return true;
-  }
-  conn.pending.push_back(frame);  // copy: the caller retries from `frame`
-  if (syncDrain(conn)) return true;
-  // Stall or death mid-drain. Close before retrying (exactly-once: the
-  // written prefix can never complete on the peer); older frames that
-  // were still queued are charged as failures, the caller retries THIS
-  // frame whole on a fresh connection.
-  auto salvaged = abortConnection(fd);
-  if (!salvaged.empty()) salvaged.pop_back();  // the caller's copy retries
-  sendFailures_ += static_cast<std::int64_t>(salvaged.size());
-  return false;
-}
-
-bool TcpTransport::writeBytes(int fd, const std::uint8_t* data,
-                              std::size_t size, std::size_t* writtenOut) {
-  std::size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd, POLLOUT, 0};
-      if (::poll(&p, 1, options_.writeStallTimeoutMs) > 0) continue;
-      if (writtenOut != nullptr) *writtenOut = written;
-      return false;
-    }
-    if (n <= 0) {
-      if (writtenOut != nullptr) *writtenOut = written;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (writtenOut != nullptr) *writtenOut = written;
-  return true;
+  // A connect racing the peer's listen() heals on reconnect.
+  std::deque<std::vector<std::uint8_t>> frames;
+  frames.push_back(std::move(frame));
+  retryFrames(node, std::move(frames));
 }
 
 void TcpTransport::backoffSleep(int attempt) {
-  std::int64_t delayMs = options_.retryBackoffBaseMs;
+  std::int64_t delayMs = kRetryBackoffBaseMs;
   for (int i = 1; i < attempt && delayMs < options_.retryBackoffCapMs; ++i) {
     delayMs *= 2;
   }
@@ -579,18 +537,21 @@ void TcpTransport::injectTruncation(NodeId node, Peer& peer,
   const int fd = connectPeer(node, peer);
   if (fd < 0) return;  // peer unreachable anyway; the frame is lost
   Connection& conn = connections_.at(fd);
-  // Drain the coalesced backlog first so the injected prefix lands at a
-  // frame boundary; if the backlog will not drain the connection dies
-  // here, which is a blunter version of the same injected fault.
-  if (!conn.pending.empty() && !syncDrain(conn)) {
-    auto dropped = abortConnection(fd);
-    sendFailures_ += static_cast<std::int64_t>(dropped.size());
+  // Flush the backlog once first so the injected prefix lands at a frame
+  // boundary; if it does not drain the connection dies here, which is a
+  // blunter version of the same injected fault.
+  if (!conn.pending.empty() && flushOnce(conn) != FlushResult::kDrained) {
+    sendFailures_ += static_cast<std::int64_t>(abortConnection(fd).size());
     return;
   }
   const std::size_t prefix = std::min(fault.truncateAt, frame.size());
-  std::size_t written = 0;
-  writeBytes(fd, frame.data(), prefix, &written);
-  if (written > 0 && written < frame.size()) {
+  ssize_t written = 0;
+  if (prefix > 0) {
+    do {
+      written = ::send(fd, frame.data(), prefix, MSG_NOSIGNAL | MSG_DONTWAIT);
+    } while (written < 0 && errno == EINTR);
+  }
+  if (written > 0 && static_cast<std::size_t>(written) < frame.size()) {
     ++partialFrameAborts_;
     metrics_.onTransportFrameAbort();
   }
@@ -599,6 +560,7 @@ void TcpTransport::injectTruncation(NodeId node, Peer& peer,
 }
 
 void TcpTransport::send(net::Message msg) {
+  driver_.checkNoOtherStep();
   // Local recipient: bypass the socket but keep asynchrony (scheduler
   // hop) so delivery order matches the simulator's semantics.
   if (sinks_.count(msg.to) > 0) {
@@ -639,24 +601,7 @@ void TcpTransport::send(net::Message msg) {
   metrics_.onMessage(msg.from, msg.to, net::payloadTypeIndex(msg.payload),
                      net::wireBytes(msg.payload), driver_.elapsed(),
                      /*delivered=*/true);
-  // The owner's sends coalesce (queue now, writev at the flush hook);
-  // a thread that never stepped the driver keeps the inline blocking
-  // semantics.
-  const bool async = driver_.onLoopThread();
-  bool sent = trySendFrame(msg.to, peerIt->second, frame, async);
-  // Reconnect-and-resend under capped jittered exponential backoff. The
-  // common transient failures -- a restarted peer answering a stale fd
-  // with RST, or a connect racing the peer's listen() -- heal on
-  // reconnect; anything still failing after maxRetries attempts is
-  // treated as loss (Transport is best-effort and the protocols
-  // tolerate drops).
-  for (int attempt = 1; !sent && attempt <= options_.maxRetries; ++attempt) {
-    ++sendRetries_;
-    metrics_.onTransportRetry();
-    backoffSleep(attempt);
-    sent = trySendFrame(msg.to, peerIt->second, frame, async);
-  }
-  if (!sent) ++sendFailures_;
+  enqueue(msg.to, peerIt->second, std::move(frame));
 }
 
 }  // namespace vlease::rt

@@ -17,52 +17,41 @@
 // a connection that dies mid-frame (EOF or hard error with a partial
 // frame buffered) counts the abandoned prefix as a rejected frame too.
 //
-// Writes take one of two paths, picked per send() by whether the caller
-// is the driver's owner (RealTimeDriver::onLoopThread(): the thread that
-// last entered step()):
-//   * Owner sends append the frame to the connection's bounded pending
-//     queue; the driver's before-wait hook gathers every queued frame
-//     into one writev per connection (syscall coalescing). Replies that
-//     the protocol handlers generate in a dispatch batch leave in that
-//     same step; requests the owner issues between two steps (an
-//     application thread that reads, then steps the loop) leave in the
-//     next step's first flush. A short write arms EPOLLOUT and the
-//     remainder flushes when the socket drains; a backlog that exceeds
-//     Options::maxPendingWriteBytes marks the peer wedged -- the
-//     connection is aborted, queued frames are counted as failures, and
-//     the bounded retry reconnects fresh (back-pressure by loss, which
-//     the protocols already tolerate).
-//   * Sends from a thread that never stepped the driver (setup code
-//     before the loop starts, tests, the parent harness) keep the
-//     blocking semantics: the queue is drained inline, waiting out short
-//     writes up to Options::writeStallTimeoutMs, and the frame is on the
-//     wire when send() returns.
-// The destructor gives frames still queued one nonblocking drain, so
-// destroying a transport can block for up to writeStallTimeoutMs on a
-// peer that does not read; frames still queued after that are dropped
-// with a logged warning.
+// Writes have one path. send() connects if needed and appends the frame
+// to the connection's pending queue; the driver's before-wait hook
+// gathers every queued frame into one writev per connection (syscall
+// coalescing). Replies that the protocol handlers generate in a
+// dispatch batch leave in that same step; frames sent between two steps
+// (an application thread that reads, then steps the loop, or setup code
+// before the first step) leave in the next step's first flush. A short
+// write arms EPOLLOUT and the remainder flushes when the socket drains.
+// No frame is on the wire when send() returns, and none needs to be:
+// Transport is best effort. The destructor gives frames still queued
+// one bounded drain (up to Options::writeStallTimeoutMs on a peer that
+// does not read); frames still queued after that are dropped with a
+// logged warning.
 //
 // A transport is not thread-safe: one thread at a time calls it, the
 // same one that steps its driver (see real_time.h). framesSent() counts
-// a frame when its last byte enters the socket, so an owner's send
-// between steps shows there only after the next step.
+// a frame when its last byte enters the socket, so a send shows there
+// only after the flush that wrote it.
 //
-// Exactly-once per frame under the bounded-retry send path: a failed
-// write always closes its connection before the retry, so the peer
-// discards any half-received prefix with the connection; the retry
-// resends the WHOLE frame on a fresh connection -- i.e. transmission
-// restarts from the unacknowledged frame boundary, and no interleaving
-// can make the peer parse the same frame twice. This holds on the
-// coalesced path too: the partially-written head frame of an aborted
-// queue is salvaged whole and resent whole.
-//
-// Failure semantics match Transport's contract: best effort. A peer
-// that cannot be reached (connect/write failure after Options::maxRetries
-// reconnect attempts under capped jittered exponential backoff) drops
-// the message; the protocols already tolerate loss (leases expire, reads
-// time out, the reconnection path repairs state). Backoff sleeps use
+// Failures. A connect that fails, a connection found dead at a flush,
+// and a backlog past kMaxPendingWriteBytes (the peer stopped reading:
+// the connection is aborted and its queued frames charged as failures)
+// all reach one routine, retryFrames(): it reconnects under capped
+// jittered exponential backoff and resends, up to Options::maxRetries
+// attempts; frames still undeliverable count as failures. The protocols
+// already tolerate loss (leases expire, reads time out, the
+// reconnection path repairs state). Backoff sleeps use
 // clock_nanosleep(TIMER_ABSTIME), so an injected signal re-enters the
 // sleep instead of silently shortening it.
+//
+// Exactly-once per frame: an aborted connection is always closed before
+// the retry, so the peer discards any half-received prefix with it, and
+// the partially-written head frame is salvaged whole and resent whole
+// on a fresh connection -- transmission restarts from the frame
+// boundary, and no interleaving can make the peer parse a frame twice.
 //
 // Chaos shim: setFaultHook() interposes a FaultHook on the socket path.
 // The hook can drop an outbound frame, truncate it mid-write at an
@@ -71,8 +60,9 @@
 // tools/vlease_rt executes FaultPlan partition/isolate/loss windows
 // against live deployments. Injected faults are counted separately from
 // organic failures and are never retried (an injected drop IS the loss).
-// An injected truncation first drains any coalesced backlog so the
-// truncated prefix lands at a frame boundary on the wire.
+// An injected truncation first flushes the queued backlog once,
+// nonblocking, so the truncated prefix lands at a frame boundary on the
+// wire; a backlog that does not drain dies with the connection instead.
 #pragma once
 
 #include <cstdint>
@@ -118,26 +108,17 @@ class FaultHook {
 
 class TcpTransport final : public net::Transport {
  public:
-  /// Socket-path policy. Defaults preserve the historical behavior:
-  /// retry once after ~2 ms, give a stalled write a second to drain.
+  /// Socket-path policy.
   struct Options {
     /// Deadline for establishing an outbound connection.
     int connectTimeoutMs = 1000;
-    /// First retry backoff; attempt k sleeps
-    /// min(cap, base << (k-1)) * jitter, jitter uniform in [0.5, 1.5).
-    int retryBackoffBaseMs = 2;
+    /// Retry attempt k sleeps min(cap, 2 ms << (k-1)) * jitter, jitter
+    /// uniform in [0.5, 1.5).
     int retryBackoffCapMs = 64;
-    /// Reconnect-and-resend attempts after the first failed send.
+    /// Reconnect-and-resend attempts after a failed send.
     int maxRetries = 1;
-    /// How long a mid-frame write waits for POLLOUT before aborting the
-    /// frame (the old hard-coded 1000 ms) -- blocking sends and the
-    /// destructor's drain only; the coalesced owner path never blocks
-    /// (EPOLLOUT re-arm).
+    /// The destructor's bounded drain of frames still queued.
     int writeStallTimeoutMs = 1000;
-    /// Coalesced-path back-pressure bound: a connection whose pending
-    /// queue would exceed this is treated as wedged (aborted, queued
-    /// frames counted as failures). A single frame is always admitted.
-    std::size_t maxPendingWriteBytes = 16u << 20;
     /// Seed for the backoff jitter stream (deterministic per transport).
     std::uint64_t jitterSeed = 0x9e3779b97f4a7c15ull;
   };
@@ -170,9 +151,8 @@ class TcpTransport final : public net::Transport {
   std::int64_t framesSent() const { return framesSent_; }
   std::int64_t framesReceived() const { return framesReceived_; }
   std::int64_t sendFailures() const { return sendFailures_; }
-  /// Sends that failed once and were re-attempted on a fresh
-  /// connection (successful or not; failures also bump sendFailures()).
-  /// On the coalesced path one retry may carry a batch of salvaged
+  /// Reconnect-and-resend attempts (successful or not; failures also
+  /// bump sendFailures()). One attempt may carry a batch of salvaged
   /// frames; it still counts once.
   std::int64_t sendRetries() const { return sendRetries_; }
   /// Inbound frames dropped because they failed to decode (corrupt
@@ -230,39 +210,32 @@ class TcpTransport final : public net::Transport {
   /// exactly-once (and the abandonment counts as a partial-frame
   /// abort).
   std::deque<std::vector<std::uint8_t>> abortConnection(int fd);
-  bool writeBytes(int fd, const std::uint8_t* data, std::size_t size,
-                  std::size_t* writtenOut);
   /// One gathered writev over the pending queue; nonblocking. Completed
   /// frames are counted in framesSent() as they leave.
   FlushResult flushOnce(Connection& conn);
-  /// Drain the pending queue inline, waiting out short writes up to
-  /// writeStallTimeoutMs per stall (the blocking path).
-  bool syncDrain(Connection& conn);
   /// Flush a connection from the loop thread; arms/disarms EPOLLOUT and
   /// funnels a dead connection into the salvage-retry path.
-  void flushAsync(Connection& conn);
+  void flush(Connection& conn);
   /// Before-wait hook: flush every connection with frames queued since
   /// the last wait.
   void flushDirty();
   void onWritable(int fd);
   void armWrite(Connection& conn, bool enabled);
   void markDirty(Connection& conn);
-  /// Re-send salvaged frames to `node` on a fresh connection under the
-  /// bounded backoff; frames still undeliverable count as failures.
+  /// Append `frame` to the peer's connection, connecting first if
+  /// needed; it leaves at the next flush.
+  void enqueue(NodeId node, Peer& peer, std::vector<std::uint8_t> frame);
+  /// Re-send frames to `node` on a fresh connection under the bounded
+  /// backoff; frames still undeliverable count as failures.
   void retryFrames(NodeId node, std::deque<std::vector<std::uint8_t>> frames);
   int connectPeer(NodeId node, Peer& peer);
-  /// One connect+enqueue(+drain) attempt; on failure the connection is
-  /// closed and the peer's fd forgotten so the next attempt reconnects.
-  /// The async path moves `frame` into the queue once it is admitted.
-  bool trySendFrame(NodeId node, Peer& peer, std::vector<std::uint8_t>& frame,
-                    bool async);
   void deliverLocal(const net::Message& msg);
   /// Sleep out the capped jittered exponential backoff before retry
   /// attempt `attempt` (1-based). clock_nanosleep against an absolute
   /// deadline: EINTR re-enters, so signals cannot shorten it.
   void backoffSleep(int attempt);
-  /// Execute an injected truncation: drain the backlog, write the
-  /// prefix, kill the connection. Returns after the connection is gone.
+  /// Execute an injected truncation: flush the backlog, write the
+  /// prefix, kill the connection; nothing here waits on the socket.
   void injectTruncation(NodeId node, Peer& peer,
                         const std::vector<std::uint8_t>& frame,
                         const SendFault& fault);

@@ -270,21 +270,45 @@ TEST(FaultShim, IsolationAndPartitionWindowsGateSends) {
   FaultShim shim(plan, a, /*driver=*/nullptr, /*seed=*/1);
 
   shim.advance(msec(15));
-  EXPECT_TRUE(shim.isIsolated(c));
+  EXPECT_TRUE(shim.failures().isIsolated(c));
   EXPECT_EQ(shim.onSend(a, c, 64).kind, SendFault::Kind::kDrop);
   EXPECT_TRUE(shim.dropInbound(c, a));
   EXPECT_EQ(shim.onSend(a, b, 64).kind, SendFault::Kind::kDeliver);
 
   shim.advance(msec(25));
-  EXPECT_TRUE(shim.isPartitioned(a, b));
-  EXPECT_TRUE(shim.isPartitioned(b, a));  // unordered
+  EXPECT_TRUE(shim.failures().isPartitioned(a, b));
+  EXPECT_TRUE(shim.failures().isPartitioned(b, a));  // unordered
   EXPECT_EQ(shim.onSend(a, b, 64).kind, SendFault::Kind::kDrop);
 
   shim.advance(msec(45));
-  EXPECT_FALSE(shim.isIsolated(c));
-  EXPECT_FALSE(shim.isPartitioned(a, b));
+  EXPECT_FALSE(shim.failures().isIsolated(c));
+  EXPECT_FALSE(shim.failures().isPartitioned(a, b));
   EXPECT_EQ(shim.onSend(a, b, 64).kind, SendFault::Kind::kDeliver);
   EXPECT_EQ(shim.onSend(a, c, 64).kind, SendFault::Kind::kDeliver);
+}
+
+TEST(FaultShim, OverlappingPartitionsOfOneLinkHealAtTheFirstHeal) {
+  // Two partition windows of one link overlap: [10, 40) and [20, 60).
+  // The simulator's FailureModel keeps cut links in a set, so the first
+  // heal (at 40) restores the link; the shim must read the plan the
+  // same way, or a real run and its simulated replay disagree on
+  // reachability between the two heals.
+  const NodeId a = makeNodeId(0);
+  const NodeId b = makeNodeId(1);
+
+  net::FaultPlan plan;
+  plan.partitionWindow(msec(10), msec(40), a, b);
+  plan.partitionWindow(msec(20), msec(60), a, b);
+
+  FaultShim shim(plan, a, /*driver=*/nullptr, /*seed=*/1);
+  for (const SimTime at : {msec(15), msec(30), msec(50), msec(70)}) {
+    shim.advance(at);
+    const bool cut = at < msec(40);
+    EXPECT_EQ(shim.onSend(a, b, 64).kind,
+              cut ? SendFault::Kind::kDrop : SendFault::Kind::kDeliver)
+        << "t=" << at;
+    EXPECT_EQ(shim.dropInbound(b, a), cut) << "t=" << at;
+  }
 }
 
 TEST(FaultShim, CertainLossDropsOrTruncatesEveryFrame) {
@@ -292,7 +316,7 @@ TEST(FaultShim, CertainLossDropsOrTruncatesEveryFrame) {
   plan.setLossAt(0, 1.0);
   FaultShim shim(plan, makeNodeId(0), nullptr, /*seed=*/7);
   shim.advance(msec(1));
-  EXPECT_DOUBLE_EQ(shim.lossProbability(), 1.0);
+  EXPECT_DOUBLE_EQ(shim.failures().lossProbability(), 1.0);
 
   int truncations = 0;
   for (int i = 0; i < 200; ++i) {

@@ -309,7 +309,13 @@ class DifferentialDriver {
 
 /// Traffic the harness drives: the interleaved random mix, or one of
 /// the shapes named in the file comment.
-enum class Shape { kRandomMix, kBulkMonotone, kSameTickFanOut, kCancelledFarFuture };
+enum class Shape {
+  kRandomMix,
+  kGiveUpMix,  // the random mix with give-up timers
+  kBulkMonotone,
+  kSameTickFanOut,
+  kCancelledFarFuture,
+};
 
 struct DiffCase {
   Shape shape;
@@ -317,11 +323,15 @@ struct DiffCase {
 };
 
 /// gtest prints the parameter into the test name: a random-mix case is
-/// named by its bare seed, a shape by its name.
+/// named by its bare seed, a give-up mix by "GiveUp" and its seed, any
+/// other shape by its name.
 void PrintTo(const DiffCase& c, std::ostream* os) {
   switch (c.shape) {
     case Shape::kRandomMix:
       *os << c.seed;
+      break;
+    case Shape::kGiveUpMix:
+      *os << "GiveUp" << c.seed;
       break;
     case Shape::kBulkMonotone:
       *os << "BulkMonotone";
@@ -339,12 +349,14 @@ class SchedulerDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(SchedulerDifferentialTest, MatchesNaiveReferenceOver1e5Events) {
   const DiffCase param = GetParam();
-  DifferentialDriver driver(param.seed);
+  DifferentialDriver driver(param.seed,
+                            /*giveUpTimers=*/param.shape == Shape::kGiveUpMix);
   Rng opRng(param.seed ^ 0xdeadbeefull);
 
   int op = 0;
   switch (param.shape) {
     case Shape::kRandomMix:
+    case Shape::kGiveUpMix:
       while (driver.scheduled() < 100'000) {
         ++op;
         const std::uint64_t roll = opRng.nextBelow(100);
@@ -411,46 +423,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{Shape::kRandomMix, 23},
                       DiffCase{Shape::kRandomMix, 37},
                       DiffCase{Shape::kRandomMix, 59},
+                      DiffCase{Shape::kGiveUpMix, 13},
+                      DiffCase{Shape::kGiveUpMix, 29},
+                      DiffCase{Shape::kGiveUpMix, 43},
+                      DiffCase{Shape::kGiveUpMix, 61},
                       DiffCase{Shape::kBulkMonotone, 71},
                       DiffCase{Shape::kSameTickFanOut, 83},
                       DiffCase{Shape::kCancelledFarFuture, 97}));
-
-/// Same differential harness with give-up timers: half the events arm a
-/// far-future timer that their own firing cancels, so cancel() removes
-/// nodes from every depth of the heap while the random mix runs. The
-/// firing sequences must still match event for event.
-class SchedulerWheelDifferentialTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SchedulerWheelDifferentialTest, WheelLaneMatchesExactReference) {
-  DifferentialDriver driver(GetParam(), /*giveUpTimers=*/true);
-  Rng opRng(GetParam() ^ 0xabad1deaull);
-
-  int op = 0;
-  while (driver.scheduled() < 100'000) {
-    ++op;
-    const std::uint64_t roll = opRng.nextBelow(100);
-    if (roll < 70) {
-      driver.scheduleTopLevel();
-    } else if (roll < 85) {
-      driver.cancelRandom();
-    } else if (roll < 95) {
-      driver.runUntilRandom();
-      driver.verify(op);
-    } else {
-      driver.stepBoth();
-    }
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-
-  driver.drain();
-  driver.verify(op);
-  EXPECT_TRUE(driver.real().empty());
-  EXPECT_GE(driver.firedReal().size(), 50'000u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerWheelDifferentialTest,
-                         ::testing::Values(13, 29, 43, 61));
 
 TEST(SchedulerDirectedTest, CancelDuringCallbackSameInstant) {
   Scheduler s;

@@ -74,6 +74,11 @@ struct NodeHost {
   std::thread thread;
 };
 
+struct CountingSink : net::MessageSink {
+  std::atomic<int> received{0};
+  void deliver(const net::Message&) override { ++received; }
+};
+
 TEST(TcpDeployment, EndToEndLeaseProtocolOverSockets) {
   trace::Catalog catalog(1, 1);
   const VolumeId vol = catalog.addVolume(catalog.serverNode(0));
@@ -364,53 +369,48 @@ TEST(TcpTransportRetry, DeadPortRetriesOnceAndCountsOneFailure) {
 }
 
 TEST(TcpTransportRetry, ReconnectsToRestartedPeerWithoutLosingTheSend) {
-  // Peer restart: the sender holds a connection to a peer that has gone
-  // away and come back on the same port. The stale fd fails the write;
-  // the retry must close it, reconnect, and deliver the SAME message --
-  // zero send failures.
-  trace::Catalog catalog(1, 1);
-  const VolumeId vol = catalog.addVolume(catalog.serverNode(0));
-  const ObjectId obj = catalog.addObject(vol, 256);
-  (void)vol;
-  const NodeId serverId = catalog.serverNode(0);
-  const NodeId clientId = catalog.clientNode(0);
+  // Peer restart: the sender holds a connection that the old peer reset
+  // before a new peer came up on the same port. The next flush fails on
+  // the dead fd; the retry must close it, reconnect, and deliver the
+  // SAME message -- zero send failures.
+  const NodeId serverId = makeNodeId(0);
+  const NodeId clientId = makeNodeId(1);
+  const net::Message msg{clientId, serverId, net::Invalidate{makeObjectId(3)}};
 
-  struct CountingSink : net::MessageSink {
-    std::atomic<int> received{0};
-    void deliver(const net::Message&) override { ++received; }
-  };
+  // The old peer: a bare listener that resets its one connection once
+  // the first frame is in.
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  int one = 1;
+  ::setsockopt(lfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 4), 0);
+  socklen_t alen = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+  const std::uint16_t peerPort = ntohs(addr.sin_port);
 
-  // Sender: no event loop needed -- send() is synchronous. Leaving the
-  // loop stopped also guarantees the peer's hangup is NOT noticed before
-  // the next send, which is exactly the stale-fd case under test.
   RealTimeDriver senderDriver;
   stats::Metrics senderMetrics;
   TcpTransport sender(senderDriver, senderMetrics, /*port=*/0);
+  sender.addPeer(serverId, "127.0.0.1", peerPort);
+  sender.send(msg);
+  senderDriver.step(0);
+  ASSERT_EQ(sender.framesSent(), 1);
 
-  auto waitFor = [](const std::atomic<int>& counter, int target) {
-    for (int i = 0; i < 2000 && counter.load() < target; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return counter.load() >= target;
-  };
-
-  std::uint16_t peerPort = 0;
   {
-    RealTimeDriver peerDriver;
-    stats::Metrics peerMetrics;
-    TcpTransport peer(peerDriver, peerMetrics, /*port=*/0);
-    peerPort = peer.listenPort();
-    CountingSink sink;
-    peer.attach(serverId, &sink);
-    std::thread loop([&]() { peerDriver.run(); });
-
-    sender.addPeer(serverId, "127.0.0.1", peerPort);
-    sender.send(net::Message{clientId, serverId, net::Invalidate{obj}});
-    EXPECT_TRUE(waitFor(sink.received, 1));
-
-    peerDriver.stop();
-    loop.join();
-  }  // peer torn down: every socket closed, port released
+    const int c = ::accept(lfd, nullptr, nullptr);
+    ASSERT_GE(c, 0);
+    const linger abortive{1, 0};  // close with RST, not FIN
+    ::setsockopt(c, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive));
+    ::close(c);
+    ::close(lfd);
+  }
+  // Let the RST land. The sender does not step meanwhile, so the dead
+  // connection is still its route to the peer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // Same port, fresh transport -- "the server restarted".
   RealTimeDriver peerDriver;
@@ -421,26 +421,21 @@ TEST(TcpTransportRetry, ReconnectsToRestartedPeerWithoutLosingTheSend) {
   peer.attach(serverId, &sink);
   std::thread loop([&]() { peerDriver.run(); });
 
-  // The peer's teardown closed with FIN, so one write into the stale
-  // half-closed socket still "succeeds" locally and only provokes the
-  // RST. Send a probe to do that, let the RST land, then send for real:
-  // that write fails on the dead fd and MUST be saved by the retry.
-  sender.send(net::Message{clientId, serverId, net::Invalidate{obj}});
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  sender.send(net::Message{clientId, serverId, net::Invalidate{obj}});
-
-  EXPECT_TRUE(waitFor(sink.received, 1));
+  sender.send(msg);
+  for (int i = 0; i < 2000 && sink.received.load() < 1; ++i) {
+    senderDriver.step(1);
+  }
+  EXPECT_EQ(sink.received.load(), 1);
   EXPECT_EQ(sender.sendFailures(), 0);
   EXPECT_EQ(sender.sendRetries(), 1);
-  // Whichever of the two sends hit the dead fd, its retry reconnected
-  // and wrote successfully, so every send counts as a sent frame.
-  EXPECT_EQ(sender.framesSent(), 3);
+  EXPECT_EQ(sender.reconnects(), 1);
+  EXPECT_EQ(sender.framesSent(), 2);
 
   peerDriver.stop();
   loop.join();
 }
 
-// ---- which thread's sends coalesce ----
+// ---- queued sends ----
 
 /// Records the object of every PollRequest delivered, in arrival order.
 struct OrderSink : net::MessageSink {
@@ -496,14 +491,14 @@ std::vector<std::uint64_t> iota(std::size_t n) {
 constexpr std::size_t kBurst = 32;
 
 TEST(TcpTransportOwner, SendsBetweenStepsLeaveInTheNextStep) {
-  // The thread that steps the driver owns it: its sends between two
-  // steps queue like a handler's and leave in the next step's flush.
+  // Sends between two steps queue like a handler's and leave, in order,
+  // in the next step's flush.
   PeerLoop peer;
   RealTimeDriver driver;
   stats::Metrics metrics;
   TcpTransport sender(driver, metrics, /*port=*/0);
   sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
-  driver.step(0);  // this thread is now the owner
+  driver.step(0);
 
   for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
   EXPECT_EQ(sender.framesSent(), 0);
@@ -529,8 +524,7 @@ struct CountSink : net::MessageSink {
 };
 
 TEST(TcpTransportOwner, QueuedSendsLeaveBeforeTheStepWaits) {
-  // The owner's sends between steps leave before the next step's
-  // readiness wait, not after it, so the echoed replies wake that wait.
+  // Sends between steps leave before the next step's readiness wait, not after it, so the echoed replies wake that wait.
   // Were they flushed only after the wait, the step would sleep out its
   // whole timeout with the requests still queued.
   const NodeId self = makeNodeId(0);
@@ -549,7 +543,7 @@ TEST(TcpTransportOwner, QueuedSendsLeaveBeforeTheStepWaits) {
   sender.addPeer(echo, "127.0.0.1", peer.listenPort());
   peer.addPeer(self, "127.0.0.1", sender.listenPort());
   std::thread peerThread([&peerDriver]() { peerDriver.run(); });
-  driver.step(0);  // this thread is now the owner
+  driver.step(0);
 
   for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
   const auto t0 = std::chrono::steady_clock::now();
@@ -566,69 +560,15 @@ TEST(TcpTransportOwner, QueuedSendsLeaveBeforeTheStepWaits) {
   peerThread.join();
 }
 
-TEST(TcpTransportOwner, ThreadThatNeverSteppedSendsInline) {
-  // Another thread (after the owner stepped, handed over by thread
-  // start and join) keeps the blocking path: each frame is on the wire
-  // before send() returns.
-  PeerLoop peer;
-  RealTimeDriver driver;
-  stats::Metrics metrics;
-  TcpTransport sender(driver, metrics, /*port=*/0);
-  sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
-  driver.step(0);
-
-  std::vector<std::int64_t> sentAfter;
-  std::thread other([&]() {
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      sender.send(pollFor(i));
-      sentAfter.push_back(sender.framesSent());
-    }
-  });
-  other.join();
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    EXPECT_EQ(sentAfter[i], static_cast<std::int64_t>(i + 1)) << "send " << i;
-  }
-  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
-}
-
-TEST(TcpTransportOwner, OwnershipOutlivesRunUntilAnotherThreadSteps) {
-  // A thread that ran the loop (setup code, say) stays the owner after
-  // run() returns: its sends queue, and stay queued however long it
-  // waits, until it steps again.
-  PeerLoop peer;
-  RealTimeDriver driver;
-  stats::Metrics metrics;
-  TcpTransport sender(driver, metrics, /*port=*/0);
-  sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
-  driver.run(msec(5));
-
-  for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(sender.framesSent(), 0);
-  EXPECT_TRUE(peer.sink.arrived().empty());
-  driver.run(msec(5));
-  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst));
-  EXPECT_EQ(peer.waitFor(kBurst), iota(kBurst));
-
-  // Handing the loop to a thread that runs it makes that thread the
-  // owner; once it is joined, this thread's sends block again.
-  std::thread loop([&]() { driver.run(msec(5)); });
-  loop.join();
-  sender.send(pollFor(kBurst));
-  EXPECT_EQ(sender.framesSent(), static_cast<std::int64_t>(kBurst + 1));
-  EXPECT_EQ(peer.waitFor(kBurst + 1), iota(kBurst + 1));
-}
-
 TEST(TcpTransportOwner, DestroyingTheTransportFlushesQueuedFrames) {
-  // The owner sends and then destroys its transport without stepping
-  // again: the destructor's drain still puts every frame on the wire.
+  // Frames sent by a transport that is destroyed before its driver
+  // ever steps: the destructor's drain still puts every one on the wire.
   PeerLoop peer;
   {
     RealTimeDriver driver;
     stats::Metrics metrics;
     TcpTransport sender(driver, metrics, /*port=*/0);
     sender.addPeer(peer.node, "127.0.0.1", peer.transport.listenPort());
-    driver.step(0);
     for (std::size_t i = 0; i < kBurst; ++i) sender.send(pollFor(i));
     EXPECT_EQ(sender.framesSent(), 0);
   }
@@ -672,21 +612,7 @@ bool readExact(int fd, std::vector<std::uint8_t>& out, std::size_t want) {
   return true;
 }
 
-void readToEof(int fd, std::vector<std::uint8_t>& out) {
-  std::uint8_t chunk[65536];
-  for (;;) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return;
-    out.insert(out.end(), chunk, chunk + n);
-  }
-}
-
 }  // namespace raw
-
-struct CountingSink : net::MessageSink {
-  std::atomic<int> received{0};
-  void deliver(const net::Message&) override { ++received; }
-};
 
 TEST(TcpTransportFraming, PeerDyingMidFrameDeliversNothingCorruptionCounted) {
   // The receive path against a misbehaving peer, at the raw byte level:
@@ -740,19 +666,18 @@ TEST(TcpTransportFraming, PeerDyingMidFrameDeliversNothingCorruptionCounted) {
 }
 
 TEST(TcpTransportRetry, PartialWriteRetryDeliversFrameExactlyOnce) {
-  // Force a mid-frame write abort: the peer (a raw socket with a tiny
-  // receive buffer that reads nothing) stalls a frame far larger than
-  // the kernel can buffer, so the first attempt aborts partway. The
-  // single retry must then deliver the frame EXACTLY once, on a fresh
-  // connection, resent from the frame boundary -- the peer sees a
-  // strict prefix on the dead connection and one whole frame on the
-  // new one, never a duplicate or a spliced parse.
+  // The queued path's salvage: the peer (a raw socket) accepts, reads
+  // part of a frame far larger than the socket buffers, and resets the
+  // connection. The partially-written head frame must then arrive
+  // EXACTLY once, whole, on a fresh connection, resent from the frame
+  // boundary -- the peer sees a strict prefix on the dead connection and
+  // one whole frame on the new one, never a duplicate or a spliced parse.
   const NodeId self = makeNodeId(0);
   const NodeId peerNode = makeNodeId(1);
 
   int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
-  int rcvbuf = 4096;  // keep the peer's window tiny
+  int rcvbuf = 4096;  // keep the first connection's window tiny
   ::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -770,7 +695,7 @@ TEST(TcpTransportRetry, PartialWriteRetryDeliversFrameExactlyOnce) {
   sender.addPeer(peerNode, "127.0.0.1", port);
 
   // ~16 MB frame: above tcp_wmem's max send buffer plus any receive
-  // buffering, so a non-reading peer guarantees the stall.
+  // buffering, so it is still mid-write when the peer resets.
   net::RenewObjLeases renew;
   renew.vol = makeVolumeId(0);
   renew.leases.reserve(1u << 20);
@@ -779,43 +704,45 @@ TEST(TcpTransportRetry, PartialWriteRetryDeliversFrameExactlyOnce) {
   }
   const net::Message msg{self, peerNode, std::move(renew)};
   const auto expectedFrame = net::encodeFrame(msg);
+  constexpr std::size_t kPrefix = 64 * 1024;  // read before the reset
 
-  std::vector<std::uint8_t> retried;   // bytes of the retry connection
-  std::vector<std::uint8_t> aborted;   // bytes of the aborted connection
+  std::vector<std::uint8_t> aborted;  // bytes of the reset connection
+  std::vector<std::uint8_t> retried;  // bytes of the retry connection
   bool sawRetryConnection = false;
+  bool extraBytes = false;
+  std::atomic<bool> peerDone{false};
   std::thread peer([&]() {
+    // Receive timeouts turn a sender that never sends (or sends short)
+    // into a failed read instead of a hang.
+    const timeval timeout{10, 0};
     int c1 = ::accept(lfd, nullptr, nullptr);
-    ASSERT_GE(c1, 0);
-    // c1 inherited the tiny buffer; give the RETRY connection a big one
-    // (set on the listener before the retry's handshake) so its success
-    // depends as little as possible on this thread's scheduling.
-    int bigBuf = 8 << 20;
-    ::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &bigBuf, sizeof(bigBuf));
-    // Read NOTHING on c1: the sender's first attempt must stall. The
-    // retry opens a second connection; bound the wait so a regression
-    // where no retry happens fails fast instead of hanging.
-    pollfd p{lfd, POLLIN, 0};
-    sawRetryConnection = ::poll(&p, 1, /*timeout_ms=*/30000) > 0;
+    if (c1 >= 0) {
+      ::setsockopt(c1, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      // The retry connection gets a big buffer (set on the listener
+      // before its handshake) so it drains quickly.
+      int bigBuf = 8 << 20;
+      ::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &bigBuf, sizeof(bigBuf));
+      raw::readExact(c1, aborted, kPrefix);
+      const linger abortive{1, 0};  // close with RST
+      ::setsockopt(c1, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive));
+      ::close(c1);
+      pollfd p{lfd, POLLIN, 0};
+      sawRetryConnection = ::poll(&p, 1, /*timeout_ms=*/30000) > 0;
+    }
     if (sawRetryConnection) {
       int c2 = ::accept(lfd, nullptr, nullptr);
-      ASSERT_GE(c2, 0);
-      // Drain the whole retried frame so the sender's write completes.
-      std::vector<std::uint8_t> got;
-      ASSERT_TRUE(raw::readExact(c2, got, 4));
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(got[i]) << (8 * i);
-      ASSERT_TRUE(raw::readExact(c2, got, len));
-      retried = std::move(got);
+      ::setsockopt(c2, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      raw::readExact(c2, retried, expectedFrame.size());
+      // Nothing may follow the one frame.
+      pollfd q{c2, POLLIN, 0};
+      extraBytes = ::poll(&q, 1, /*timeout_ms=*/200) > 0;
       ::close(c2);
     }
-    // The aborted connection: whatever made it through before the
-    // sender gave up and closed. Must be a strict prefix of the frame.
-    raw::readToEof(c1, aborted);
-    ::close(c1);
+    peerDone.store(true);
   });
 
   sender.send(msg);
+  for (int i = 0; i < 60000 && !peerDone.load(); ++i) driver.step(1);
   peer.join();
   ::close(lfd);
 
@@ -827,8 +754,10 @@ TEST(TcpTransportRetry, PartialWriteRetryDeliversFrameExactlyOnce) {
 
   // Exactly one complete frame, byte-identical to the encoding.
   EXPECT_EQ(retried, expectedFrame);
+  EXPECT_FALSE(extraBytes);
   // The dead connection carried a strict prefix: no complete frame, so
   // nothing a peer could ever have parsed and delivered.
+  ASSERT_EQ(aborted.size(), kPrefix);
   ASSERT_LT(aborted.size(), expectedFrame.size());
   EXPECT_TRUE(std::equal(aborted.begin(), aborted.end(),
                          expectedFrame.begin()));

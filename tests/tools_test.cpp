@@ -191,12 +191,16 @@ TEST(ToolsTest, RtRejectsUnknownNames) {
   const std::string rt = toolPath("vlease_rt");
   if (rt.empty()) GTEST_SKIP() << "tools not in ./tools";
   // A typo must not quietly run as the default algorithm, intensity or
-  // scenario.
-  const std::pair<const char*, const char*> cases[] = {
+  // scenario, and a log directory that cannot be made must not run every
+  // seed to a "worker trouble" verdict that reads as divergence.
+  const std::string orphanLogDir = uniqueTempPath(".missing") + "/logs";
+  const std::pair<std::string, std::string> cases[] = {
       {"--algorithm delya", "unknown algorithm 'delya'"},
       {"--algorithm lease", "'lease' is not a volume algorithm"},
       {"--intensity hgih", "unknown intensity 'hgih'"},
       {"--scenario recovrey", "unknown scenario 'recovrey'"},
+      {"--log-dir " + orphanLogDir,
+       "cannot create log directory '" + orphanLogDir + "'"},
   };
   for (const auto& [args, message] : cases) {
     std::string out;

@@ -35,6 +35,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -187,6 +188,20 @@ std::string nodeLogPath(const std::string& dir, std::uint32_t node) {
   return dir + "/node" + std::to_string(node) + ".log";
 }
 
+/// Create `dir` unless it already is a directory; on failure print why,
+/// naming the path, and return false.
+bool makeLogDir(const std::string& dir) {
+  struct stat st;
+  if (::mkdir(dir.c_str(), 0755) == 0 ||
+      (errno == EEXIST && ::stat(dir.c_str(), &st) == 0 &&
+       S_ISDIR(st.st_mode))) {
+    return true;
+  }
+  std::fprintf(stderr, "cannot create log directory '%s': %s\n", dir.c_str(),
+               errno == EEXIST ? "not a directory" : std::strerror(errno));
+  return false;
+}
+
 // ---------------------------------------------------------------------
 // worker mode: host ONE protocol node against real sockets
 // ---------------------------------------------------------------------
@@ -225,7 +240,6 @@ int workerMain(const Flags& flags) {
 
   rt::TcpTransport::Options topts;
   topts.connectTimeoutMs = 250;
-  topts.retryBackoffBaseMs = 2;
   topts.retryBackoffCapMs = 40;
   topts.maxRetries = 2;
   topts.writeStallTimeoutMs = 250;
@@ -456,7 +470,10 @@ SeedVerdict runSeed(std::uint64_t seed, const Flags& flags,
   const std::uint32_t numServers = catalog.numServers();
 
   const std::string logDir = logRoot + "/seed" + std::to_string(seed);
-  ::mkdir(logDir.c_str(), 0755);
+  if (!makeLogDir(logDir)) {
+    verdict.workerTrouble = true;
+    return verdict;
+  }
 
   const std::vector<std::uint16_t> ports = probePorts(numNodes);
   if (ports.size() != numNodes) {
@@ -594,6 +611,8 @@ int parentMain(const Flags& flags, const std::string& execPath) {
       return 1;
     }
     logRoot = dir;
+  } else if (!makeLogDir(logRoot)) {
+    return 1;
   }
 
   const std::int64_t seeds = flags.getInt("seeds");
