@@ -20,26 +20,22 @@ VolumeServer::VolumeServer(proto::ProtocolContext& ctx, NodeId id,
       numClients_(ctx.catalog.numClients()),
       volumes_(ctx.catalog.volumesOnServer(id)),
       objects_(ctx.catalog.objectsOnServer(id)),
-      queuedWords_((numClients_ + 63) / 64),
-      volOwnedNative_(volumes_.size(), 1),
-      objOwnedNative_(objects_.size(), 1) {}
+      volOwned_(volumes_.size(), 1),
+      objOwned_(objects_.size(), 1),
+      queuedWords_((numClients_ + 63) / 64) {}
 
 // ---------------------------------------------------------------------
 // small helpers
 // ---------------------------------------------------------------------
 
 const VolumeServer::VolState* VolumeServer::volFind(VolumeId volId) const {
-  const trace::VolumeInfo& info = ctx_.catalog.volume(volId);
-  if (info.server == id()) return &volumes_[info.localIndex];
-  const std::uint32_t* slot = adoptedVolSlot_.find(raw(volId));
-  return slot == nullptr ? nullptr : &adoptedVols_[*slot];
+  const std::uint32_t slot = volSlot(volId);
+  return slot == util::kNilIdx ? nullptr : &volumes_[slot];
 }
 
 const VolumeServer::ObjState* VolumeServer::objFind(ObjectId obj) const {
-  const trace::ObjectInfo& info = ctx_.catalog.object(obj);
-  if (info.server == id()) return &objects_[info.localIndex];
-  const std::uint32_t* slot = adoptedObjSlot_.find(raw(obj));
-  return slot == nullptr ? nullptr : &adoptedObjs_[*slot];
+  const std::uint32_t slot = objSlot(obj);
+  return slot == util::kNilIdx ? nullptr : &objects_[slot];
 }
 
 Version VolumeServer::currentVersion(ObjectId obj) const {
@@ -70,26 +66,24 @@ Epoch VolumeServer::volumeEpoch(VolumeId volId) const {
   return v == nullptr ? 1 : v->epoch;
 }
 
-std::size_t VolumeServer::validObjectHolders(ObjectId obj) const {
-  const ObjState* st = objFind(obj);
-  if (st == nullptr) return 0;
+std::size_t VolumeServer::validHolders(
+    const util::LifoIndexMap<LeaseRecord>& holders) const {
   const SimTime now = ctx_.scheduler.now();
   std::size_t n = 0;
-  st->holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
+  holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
     if (r.expire > now) ++n;
   });
   return n;
 }
 
+std::size_t VolumeServer::validObjectHolders(ObjectId obj) const {
+  const ObjState* st = objFind(obj);
+  return st == nullptr ? 0 : validHolders(st->holders);
+}
+
 std::size_t VolumeServer::validVolumeHolders(VolumeId volId) const {
   const VolState* v = volFind(volId);
-  if (v == nullptr) return 0;
-  const SimTime now = ctx_.scheduler.now();
-  std::size_t n = 0;
-  v->holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
-    if (r.expire > now) ++n;
-  });
-  return n;
+  return v == nullptr ? 0 : validHolders(v->holders);
 }
 
 std::size_t VolumeServer::expiredHolderCount(SimTime now) const {
@@ -105,20 +99,44 @@ std::size_t VolumeServer::expiredHolderCount(SimTime now) const {
   return n;
 }
 
-void VolumeServer::removeObjHolder(ObjState& st, std::uint32_t ci) {
-  LeaseRecord* rec = st.holders.find(ci);
+void VolumeServer::removeHolder(util::LifoIndexMap<LeaseRecord>& holders,
+                                std::uint32_t ci) {
+  LeaseRecord* rec = holders.find(ci);
   if (rec == nullptr) return;
   stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
                       ctx_.scheduler.now());
-  st.holders.erase(ci);
+  holders.erase(ci);
 }
 
-void VolumeServer::removeVolHolder(VolState& st, std::uint32_t ci) {
-  LeaseRecord* rec = st.holders.find(ci);
-  if (rec == nullptr) return;
-  stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
-                      ctx_.scheduler.now());
-  st.holders.erase(ci);
+void VolumeServer::accrueHolders(util::LifoIndexMap<LeaseRecord>& holders,
+                                 SimTime now) {
+  holders.forEach([&](std::uint32_t, LeaseRecord& r) {
+    stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
+  });
+}
+
+void VolumeServer::accrueVolume(VolState& v, SimTime now) {
+  accrueHolders(v.holders, now);
+  v.inactive.forEach(
+      [&](std::uint32_t, InactiveClient& in) { accruePending(in, now); });
+}
+
+void VolumeServer::dropVolumeLeases(VolState& v, SimTime now) {
+  accrueVolume(v, now);
+  v.holders.clear();
+  v.inactive.forEach(
+      [&](std::uint32_t ci, InactiveClient& in) { recyclePending(ci, in); });
+  v.inactive.clear();
+  // the epoch check re-detects stale clients, so Unreachable resets
+  std::fill(v.unreachable.begin(), v.unreachable.end(), 0);
+  std::fill(v.sweptExpire.begin(), v.sweptExpire.end(), kNever);
+  v.expire = kSimTimeMin;
+}
+
+void VolumeServer::dropObjectLeases(ObjState& st, SimTime now) {
+  accrueHolders(st.holders, now);
+  st.holders.clear();
+  st.expire = kSimTimeMin;
 }
 
 const VolumeServer::LeaseRecord& VolumeServer::renewHolder(
@@ -480,7 +498,7 @@ void VolumeServer::processRenewObjLeases(const net::Message& msg,
     ObjState& st = objState(entry.obj);
     if (st.version > entry.version) {
       batch.invalidate.push_back(entry.obj);
-      removeObjHolder(st, ci);
+      removeHolder(st.holders, ci);
     } else {
       const LeaseRecord& rec =
           renewHolder(st.holders, ci, config_.objectTimeout);
@@ -862,7 +880,7 @@ void VolumeServer::handleAckInvalidate(const net::Message& msg) {
   if (ci >= pw.waiting.size() || pw.waiting[ci] == 0) return;
   pw.waiting[ci] = 0;
   --pw.waitingCount;
-  removeObjHolder(st, ci);  // client dropped its copy
+  removeHolder(st.holders, ci);  // client dropped its copy
   if (pw.waitingCount > 0) return;
   const SimTime now = ctx_.scheduler.now();
   if (now >= pw.skipBound) {
@@ -881,38 +899,26 @@ void VolumeServer::handleAckInvalidate(const net::Message& msg) {
 // online volume migration (federation)
 // ---------------------------------------------------------------------
 
-VolumeServer::VolState& VolumeServer::migrationVolSlot(
-    VolumeId volId, std::uint8_t** ownedFlag) {
-  const trace::VolumeInfo& info = ctx_.catalog.volume(volId);
-  if (info.server == id()) {
-    *ownedFlag = &volOwnedNative_[info.localIndex];
-    return volumes_[info.localIndex];
+std::uint32_t VolumeServer::volSlotOrAppend(VolumeId volId) {
+  std::uint32_t slot = volSlot(volId);
+  if (slot == util::kNilIdx) {
+    slot = static_cast<std::uint32_t>(volumes_.size());
+    volumes_.emplace_back();
+    volOwned_.push_back(0);
+    adoptedVolSlot_[raw(volId)] = slot;
   }
-  auto [slot, inserted] = adoptedVolSlot_.tryEmplace(raw(volId));
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(adoptedVols_.size());
-    adoptedVols_.emplace_back();
-    adoptedVolOwned_.push_back(0);
-  }
-  *ownedFlag = &adoptedVolOwned_[*slot];
-  return adoptedVols_[*slot];
+  return slot;
 }
 
-VolumeServer::ObjState& VolumeServer::migrationObjSlot(
-    ObjectId obj, std::uint8_t** ownedFlag) {
-  const trace::ObjectInfo& info = ctx_.catalog.object(obj);
-  if (info.server == id()) {
-    *ownedFlag = &objOwnedNative_[info.localIndex];
-    return objects_[info.localIndex];
+std::uint32_t VolumeServer::objSlotOrAppend(ObjectId obj) {
+  std::uint32_t slot = objSlot(obj);
+  if (slot == util::kNilIdx) {
+    slot = static_cast<std::uint32_t>(objects_.size());
+    objects_.emplace_back();
+    objOwned_.push_back(0);
+    adoptedObjSlot_[raw(obj)] = slot;
   }
-  auto [slot, inserted] = adoptedObjSlot_.tryEmplace(raw(obj));
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(adoptedObjs_.size());
-    adoptedObjs_.emplace_back();
-    adoptedObjOwned_.push_back(0);
-  }
-  *ownedFlag = &adoptedObjOwned_[*slot];
-  return adoptedObjs_[*slot];
+  return slot;
 }
 
 bool VolumeServer::volumeQuiescent(VolumeId volId) const {
@@ -923,9 +929,10 @@ bool VolumeServer::volumeQuiescent(VolumeId volId) const {
 }
 
 proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
-  std::uint8_t* owned = nullptr;
-  VolState& v = migrationVolSlot(volId, &owned);
-  VL_CHECK_MSG(*owned != 0, "migrateOut: volume not owned here");
+  const std::uint32_t slot = volSlot(volId);
+  VL_CHECK_MSG(slot != util::kNilIdx && volOwned_[slot] != 0,
+               "migrateOut: volume not owned here");
+  VolState& v = volumes_[slot];
   VL_CHECK_MSG(
       v.pendingWrites == 0 && v.deferred.empty() && v.recoveryWrites == 0,
       "migrateOut: volume not quiescent");
@@ -944,18 +951,7 @@ proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
   // controlled crash for this volume's lease bookkeeping. Holders learn
   // of the move when their next request times out and re-routes; the
   // epoch bump at the adopter forces them through MUST_RENEW_ALL.
-  v.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-    stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-  });
-  v.holders.clear();
-  v.inactive.forEach([&](std::uint32_t ci, InactiveClient& in) {
-    accruePending(in, now);
-    recyclePending(ci, in);
-  });
-  v.inactive.clear();
-  std::fill(v.unreachable.begin(), v.unreachable.end(), 0);
-  std::fill(v.sweptExpire.begin(), v.sweptExpire.end(), kNever);
-  v.expire = kSimTimeMin;
+  dropVolumeLeases(v, now);
 
   // In-flight reconnection / flush exchanges on this volume die with the
   // handoff; the client's retry re-routes and reconnects at the adopter.
@@ -969,28 +965,23 @@ proto::VolumeHandoff VolumeServer::migrateOut(VolumeId volId) {
 
   for (const trace::ObjectInfo& info : ctx_.catalog.objects()) {
     if (info.volume != volId) continue;
-    std::uint8_t* objOwned = nullptr;
-    ObjState& st = migrationObjSlot(info.id, &objOwned);
+    ObjState& st = objState(info.id);
     VL_CHECK(st.pendingWrite == util::kNilIdx);
-    st.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-      stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-    });
-    st.holders.clear();
-    st.expire = kSimTimeMin;
+    dropObjectLeases(st, now);
     handoff.objects.push_back(
         proto::VolumeHandoff::ObjectEntry{info.id, st.version});
-    *objOwned = 0;  // slot stays: durable memory for a possible return
+    objOwned_[objSlot(info.id)] = 0;  // slot stays: durable memory
   }
 
-  *owned = 0;  // epoch stays in the slot: the return path ratchets on it
+  volOwned_[slot] = 0;  // epoch stays in the slot: the return ratchets on it
   return handoff;
 }
 
 void VolumeServer::adoptVolume(const proto::VolumeHandoff& handoff,
                                bool bumpEpoch) {
-  std::uint8_t* owned = nullptr;
-  VolState& v = migrationVolSlot(handoff.vol, &owned);
-  VL_CHECK_MSG(*owned == 0, "adoptVolume: volume already owned here");
+  const std::uint32_t slot = volSlotOrAppend(handoff.vol);
+  VL_CHECK_MSG(volOwned_[slot] == 0, "adoptVolume: volume already owned here");
+  VolState& v = volumes_[slot];
 
   // Epoch ratchet: this slot may hold durable memory of an earlier stay
   // (migrate-away-then-return); never regress below either side's log.
@@ -1006,17 +997,17 @@ void VolumeServer::adoptVolume(const proto::VolumeHandoff& handoff,
   v.handoffBound = std::max(v.handoffBound, handoff.volLeaseBound);
 
   for (const auto& entry : handoff.objects) {
-    std::uint8_t* objOwned = nullptr;
-    ObjState& st = migrationObjSlot(entry.obj, &objOwned);
+    const std::uint32_t objIdx = objSlotOrAppend(entry.obj);
+    ObjState& st = objects_[objIdx];
     st.version = std::max(st.version, entry.version);  // ratchet, never back
-    *objOwned = 1;
+    objOwned_[objIdx] = 1;
   }
 
   // A crash at this server must also stay silent past the handoff
   // bound: fold it into the stable-storage high-water mark that sizes
   // the post-crash recovery window.
   maxVolExpireGranted_ = std::max(maxVolExpireGranted_, handoff.volLeaseBound);
-  *owned = 1;
+  volOwned_[slot] = 1;
 }
 
 // ---------------------------------------------------------------------
@@ -1050,30 +1041,14 @@ void VolumeServer::crashAndReboot() {
   // Owned state only: a migrated-away volume's slot is durable memory of
   // another server's volume now -- its epoch must not advance here.
   forEachOwnedVol([&](VolState& v) {
-    v.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-      stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-    });
-    v.holders.clear();
-    v.inactive.forEach([&](std::uint32_t ci, InactiveClient& in) {
-      accruePending(in, now);
-      recyclePending(ci, in);
-    });
-    v.inactive.clear();
-    // the epoch check re-detects stale clients, so Unreachable resets
-    std::fill(v.unreachable.begin(), v.unreachable.end(), 0);
+    dropVolumeLeases(v, now);
     v.deferred.items.clear();
     v.deferred.head = 0;
     v.pendingWrites = 0;
-    v.expire = kSimTimeMin;
-    std::fill(v.sweptExpire.begin(), v.sweptExpire.end(), kNever);
     if (v.touched) v.epoch += 1;  // persisted with the data
   });
   forEachOwnedObj([&](ObjState& st) {
-    st.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-      stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-    });
-    st.holders.clear();
-    st.expire = kSimTimeMin;
+    dropObjectLeases(st, now);
     st.pendingWrite = util::kNilIdx;
   });
 
@@ -1171,18 +1146,8 @@ void VolumeServer::quiesce() {
 void VolumeServer::finalizeAccounting(SimTime now) {
   // Un-owned slots were accrued and emptied when the volume migrated
   // out, so visiting owned state covers everything outstanding.
-  forEachOwnedVol([&](VolState& v) {
-    v.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-      stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-    });
-    v.inactive.forEach(
-        [&](std::uint32_t, InactiveClient& in) { accruePending(in, now); });
-  });
-  forEachOwnedObj([&](ObjState& st) {
-    st.holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-      stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-    });
-  });
+  forEachOwnedVol([&](VolState& v) { accrueVolume(v, now); });
+  forEachOwnedObj([&](ObjState& st) { accrueHolders(st.holders, now); });
 }
 
 }  // namespace vlease::core

@@ -38,9 +38,12 @@
 //     invalidation target for concurrent writes.
 //
 // State layout (see DESIGN.md "Dense protocol state"): everything is
-// index-addressed. Objects and volumes map through the catalog's
-// per-server localIndex into direct vectors; holder sets, the Inactive
-// table, and the Unreachable set are keyed by the dense client index;
+// index-addressed. Volumes and objects live in one slot store per kind:
+// a native id's slot is its catalog localIndex; a volume adopted from
+// another server (federation) and its objects are appended after the
+// native slots and found through a raw-id map; one owned flag per slot
+// marks the live ones. Holder sets, the Inactive table, and the
+// Unreachable set are keyed by the dense client index;
 // in-flight writes live in a recycled slot pool referenced from the
 // object's state; sessions use a packed (client, volume) 64-bit key in
 // a util::FlatMap. Which objects wait on which client's pending list is
@@ -245,18 +248,28 @@ class VolumeServer final : public proto::ServerNode {
   static std::uint64_t sessionKey(std::uint32_t clientIdx, VolumeId vol) {
     return (static_cast<std::uint64_t>(clientIdx) << 32) | raw(vol);
   }
+  /// The slot of a volume/object in volumes_/objects_: its catalog
+  /// localIndex when it is native here (no hashing), else the slot it
+  /// was adopted into; kNilIdx when this server never held it.
+  std::uint32_t volSlot(VolumeId volId) const {
+    const trace::VolumeInfo& info = ctx_.catalog.volume(volId);
+    if (info.server == id()) return info.localIndex;
+    const std::uint32_t* slot = adoptedVolSlot_.find(raw(volId));
+    return slot == nullptr ? util::kNilIdx : *slot;
+  }
+  std::uint32_t objSlot(ObjectId obj) const {
+    const trace::ObjectInfo& info = ctx_.catalog.object(obj);
+    if (info.server == id()) return info.localIndex;
+    const std::uint32_t* slot = adoptedObjSlot_.find(raw(obj));
+    return slot == nullptr ? util::kNilIdx : *slot;
+  }
   /// Ownership-aware lookup: the volume's state iff this server
   /// currently owns it (native home volume not migrated away, or an
   /// adopted volume). Null otherwise.
   const VolState* volLookup(VolumeId volId) const {
-    const trace::VolumeInfo& info = ctx_.catalog.volume(volId);
-    if (info.server == id()) {
-      return volOwnedNative_[info.localIndex] != 0 ? &volumes_[info.localIndex]
-                                                   : nullptr;
-    }
-    const std::uint32_t* slot = adoptedVolSlot_.find(raw(volId));
-    if (slot == nullptr || adoptedVolOwned_[*slot] == 0) return nullptr;
-    return &adoptedVols_[*slot];
+    const std::uint32_t slot = volSlot(volId);
+    if (slot == util::kNilIdx || volOwned_[slot] == 0) return nullptr;
+    return &volumes_[slot];
   }
   VolState* volLookup(VolumeId volId) {
     return const_cast<VolState*>(
@@ -269,14 +282,10 @@ class VolumeServer final : public proto::ServerNode {
     return *v;
   }
   ObjState& objState(ObjectId obj) {
-    const trace::ObjectInfo& info = ctx_.catalog.object(obj);
-    if (info.server == id()) {
-      VL_DCHECK(objOwnedNative_[info.localIndex] != 0);
-      return objects_[info.localIndex];
-    }
-    const std::uint32_t* slot = adoptedObjSlot_.find(raw(obj));
-    VL_CHECK_MSG(slot != nullptr, "VolumeServer: object not owned here");
-    return adoptedObjs_[*slot];
+    const std::uint32_t slot = objSlot(obj);
+    VL_CHECK_MSG(slot != util::kNilIdx, "VolumeServer: object not owned here");
+    VL_DCHECK(objOwned_[slot] != 0);
+    return objects_[slot];
   }
   VolumeId volumeOf(ObjectId obj) const {
     return ctx_.catalog.object(obj).volume;
@@ -287,32 +296,29 @@ class VolumeServer final : public proto::ServerNode {
   /// the volume (epoch, versions) and tests inspect it.
   const VolState* volFind(VolumeId id) const;
   const ObjState* objFind(ObjectId id) const;
+  /// Records in `holders` whose lease is still valid now.
+  std::size_t validHolders(
+      const util::LifoIndexMap<LeaseRecord>& holders) const;
 
   /// The volume a message's payload addresses; used by deliver() to
   /// drop stragglers for volumes this server no longer owns (the client
   /// self-heals: its request times out and re-routes via the table).
   VolumeId payloadVolume(const net::Message& msg) const;
 
-  /// Visit every volume/object state this server currently owns:
-  /// native slots not migrated away plus adopted slots. Crash, sweep,
-  /// and accounting loops use these so a migrated-away volume's durable
-  /// memory is never mutated.
+  /// Visit every volume/object state this server currently owns, in
+  /// slot order: native slots, then adopted ones in adoption order.
+  /// Crash, sweep, and accounting loops use these so a migrated-away
+  /// volume's durable memory is never mutated.
   template <typename Fn>
   void forEachOwnedVol(Fn&& fn) {
     for (std::size_t i = 0; i < volumes_.size(); ++i) {
-      if (volOwnedNative_[i] != 0) fn(volumes_[i]);
-    }
-    for (std::size_t i = 0; i < adoptedVols_.size(); ++i) {
-      if (adoptedVolOwned_[i] != 0) fn(adoptedVols_[i]);
+      if (volOwned_[i] != 0) fn(volumes_[i]);
     }
   }
   template <typename Fn>
   void forEachOwnedObj(Fn&& fn) {
     for (std::size_t i = 0; i < objects_.size(); ++i) {
-      if (objOwnedNative_[i] != 0) fn(objects_[i]);
-    }
-    for (std::size_t i = 0; i < adoptedObjs_.size(); ++i) {
-      if (adoptedObjOwned_[i] != 0) fn(adoptedObjs_[i]);
+      if (objOwned_[i] != 0) fn(objects_[i]);
     }
   }
 
@@ -357,8 +363,19 @@ class VolumeServer final : public proto::ServerNode {
   /// grant order. Every holder-record expiry is set here.
   const LeaseRecord& renewHolder(util::LifoIndexMap<LeaseRecord>& holders,
                                  std::uint32_t ci, SimTime term);
-  void removeObjHolder(ObjState& st, std::uint32_t ci);
-  void removeVolHolder(VolState& st, std::uint32_t ci);
+  /// Accrue and drop `ci`'s record in `holders`, if it has one.
+  void removeHolder(util::LifoIndexMap<LeaseRecord>& holders,
+                    std::uint32_t ci);
+  /// Accrue every record in `holders` up to `now`.
+  void accrueHolders(util::LifoIndexMap<LeaseRecord>& holders, SimTime now);
+  /// Accrue a volume's holder records and pending lists up to `now`.
+  void accrueVolume(VolState& v, SimTime now);
+  /// The lease soft state a crash or a migrate-out drops (paper
+  /// §3.1.2): accrue it, then clear holders, Inactive entries,
+  /// Unreachable, swept expiries and the aggregate expiry. Epochs and
+  /// versions stay.
+  void dropVolumeLeases(VolState& v, SimTime now);
+  void dropObjectLeases(ObjState& st, SimTime now);
   /// Accrue and drop a client's pending list, recycling its storage.
   void discardPending(VolState& st, std::uint32_t ci);
   /// Queue an invalidation of `obj` (whose state is `st`) on Inactive
@@ -441,8 +458,20 @@ class VolumeServer final : public proto::ServerNode {
   const std::uint32_t numServers_;
   const std::uint32_t numClients_;
 
-  std::vector<VolState> volumes_;  // by catalog localIndex
-  std::vector<ObjState> objects_;  // by catalog localIndex
+  // One slot store per kind: native slots by catalog localIndex, then
+  // adopted slots in adoption order. A slot whose volume migrated away
+  // stays as durable memory -- the epoch and versions a returning
+  // volume must ratchet against -- with its owned flag cleared.
+  std::vector<VolState> volumes_;
+  std::vector<ObjState> objects_;
+  std::vector<std::uint8_t> volOwned_;  // by slot
+  std::vector<std::uint8_t> objOwned_;  // by slot
+  util::FlatMap<std::uint32_t> adoptedVolSlot_;  // raw(vol) -> slot
+  util::FlatMap<std::uint32_t> adoptedObjSlot_;  // raw(obj) -> slot
+  /// Find-or-append the (possibly un-owned) slot of a volume/object
+  /// this server adopts. Used only on the adoption path.
+  std::uint32_t volSlotOrAppend(VolumeId volId);
+  std::uint32_t objSlotOrAppend(ObjectId obj);
 
   /// Delayed mode: bit ci of row ObjState::queuedRow is set iff that
   /// object waits on client ci's pending list. Row-major, queuedWords_
@@ -450,26 +479,6 @@ class VolumeServer final : public proto::ServerNode {
   /// and kept, so only written-while-Inactive objects cost a row.
   std::vector<std::uint64_t> queuedBits_;
   const std::uint32_t queuedWords_;  // ceil(numClients_ / 64)
-
-  // ---- federation ownership ----
-  // Native slots (above) stay addressed by catalog localIndex so the
-  // common no-migration case costs one byte-flag load; volumes adopted
-  // from other servers live in overflow stores keyed by raw global id.
-  // Un-owned slots of either kind are retained as durable memory: the
-  // epoch and versions a returning volume must ratchet against.
-  std::vector<std::uint8_t> volOwnedNative_;  // by catalog localIndex
-  std::vector<std::uint8_t> objOwnedNative_;  // by catalog localIndex
-  util::FlatMap<std::uint32_t> adoptedVolSlot_;  // raw(vol) -> adoptedVols_
-  util::FlatMap<std::uint32_t> adoptedObjSlot_;  // raw(obj) -> adoptedObjs_
-  std::vector<VolState> adoptedVols_;
-  std::vector<ObjState> adoptedObjs_;
-  std::vector<std::uint8_t> adoptedVolOwned_;
-  std::vector<std::uint8_t> adoptedObjOwned_;
-  /// Find-or-create the (possibly un-owned) slot for a volume/object,
-  /// native or adopted; also returns whether the caller must flip the
-  /// matching owned flag. Used only on migration paths.
-  VolState& migrationVolSlot(VolumeId volId, std::uint8_t** ownedFlag);
-  ObjState& migrationObjSlot(ObjectId obj, std::uint8_t** ownedFlag);
 
   std::vector<PendingWrite> pwPool_;
   std::vector<std::uint32_t> pwFree_;

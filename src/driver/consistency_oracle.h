@@ -116,10 +116,6 @@ class ConsistencyOracle {
                     stats::Metrics& metrics)
       : ConsistencyOracle(catalog, config, metrics, Options{}) {}
 
-  /// Staleness/cache checks apply only to the server-invalidation
-  /// algorithms; write-delay and lost-write checks always apply.
-  bool checksStaleness() const { return strong_; }
-
   // ---- hooks (driver::Simulation calls these) ----
 
   /// A read completed. `authoritative` is the server's version at

@@ -64,8 +64,6 @@ class FailureModel {
            !isPartitioned(a, b);
   }
 
-  bool anyFailures() const { return !allHealthy() || lossProb_ > 0.0; }
-
   /// Number of distinct faults currently active (crashed nodes +
   /// isolated nodes + cut links + a nonzero loss probability).
   /// Introspection for FaultPlan teardown and tests.

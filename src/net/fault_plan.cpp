@@ -133,12 +133,6 @@ const std::vector<FaultEvent>& FaultPlan::events() const {
   return events_;
 }
 
-bool FaultPlan::hasCrashes() const {
-  return std::any_of(events_.begin(), events_.end(), [](const FaultEvent& e) {
-    return e.kind == FaultEvent::Kind::kCrash;
-  });
-}
-
 std::vector<std::pair<SimTime, SimTime>> FaultPlan::crashWindows(
     NodeId node) const {
   std::vector<std::pair<SimTime, SimTime>> windows;

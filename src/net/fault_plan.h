@@ -84,10 +84,6 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 
-  /// Do any events crash node kinds that match `isServer`? (Used by the
-  /// oracle to widen its write-delay bound with a recovery allowance.)
-  bool hasCrashes() const;
-
   /// The [crash, recover) windows of `node`, in time order. A crash with
   /// no matching recover yields a window closing at kNever. Used by the
   /// real-run parity checker to excuse losses that a crash explains.

@@ -17,17 +17,6 @@ Version LeaseServer::currentVersion(ObjectId obj) const {
   return it == objects_.end() ? 1 : it->second.version;
 }
 
-std::size_t LeaseServer::validHolderCount(ObjectId obj) const {
-  auto it = objects_.find(obj);
-  if (it == objects_.end()) return 0;
-  const SimTime now = ctx_.scheduler.now();
-  std::size_t n = 0;
-  for (const auto& [client, record] : it->second.holders) {
-    if (record.expire > now) ++n;
-  }
-  return n;
-}
-
 void LeaseServer::removeHolder(ObjState& st, NodeId client) {
   auto it = st.holders.find(client);
   if (it == st.holders.end()) return;

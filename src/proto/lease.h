@@ -41,9 +41,6 @@ class LeaseServer final : public ServerNode {
   void crashAndReboot() override;
   void finalizeAccounting(SimTime now) override;
 
-  /// Valid lease holders right now (test hook).
-  std::size_t validHolderCount(ObjectId obj) const;
-
  private:
   struct LeaseRecord {
     SimTime expire;

@@ -48,43 +48,26 @@ FaultShim::FaultShim(const net::FaultPlan& plan, NodeId self,
   }
 }
 
-void FaultShim::applyClock(SimTime rawNow) {
-  if (driver_ == nullptr) return;
-  const double drifted = driftPpm_ *
-                         static_cast<double>(rawNow - driftAnchor_) / 1e6;
-  driver_->setClockOffset(skewOffset_ +
-                          static_cast<SimDuration>(drifted));
-}
-
 void FaultShim::advance(SimTime rawNow) {
-  bool clockDirty = driftPpm_ != 0.0;  // drift accrues continuously
+  bool clockDirty = clock_.driftPpm != 0.0;  // drift accrues continuously
   while (next_ < events_.size() && events_[next_].at <= rawNow) {
     const FaultEvent& e = events_[next_];
     ++next_;
     net::applyToFailures(e, failures_);
-    switch (e.kind) {
-      case FaultEvent::Kind::kSkew:
-        if (e.a == self_) {
-          // A step sets the TOTAL skew; fold accrued drift into the
-          // anchor so the drift lane keeps accruing from here.
-          skewOffset_ = e.offset;
-          driftAnchor_ = e.at;
-          clockDirty = true;
-        }
-        break;
-      case FaultEvent::Kind::kDrift:
-        if (e.a == self_) {
-          driftPpm_ = e.ppm;
-          driftAnchor_ = e.at;
-          clockDirty = true;
-        }
-        break;
-      default:
-        break;  // applied to failures_ above (crash/recover never reach
-                // the shim: the constructor filters the parent lane out)
+    if (e.a != self_) continue;
+    // The clock lane follows sim::ClockMap exactly: a step sets the
+    // total skew, a drift change keeps the skew already accrued.
+    if (e.kind == FaultEvent::Kind::kSkew) {
+      clock_.setOffset(e.at, e.offset);
+      clockDirty = true;
+    } else if (e.kind == FaultEvent::Kind::kDrift) {
+      clock_.setDrift(e.at, e.ppm);
+      clockDirty = true;
     }
   }
-  if (clockDirty) applyClock(rawNow);
+  if (clockDirty && driver_ != nullptr) {
+    driver_->setClockOffset(clock_.skewAt(rawNow));
+  }
 }
 
 SendFault FaultShim::onSend(NodeId from, NodeId to, std::size_t frameBytes) {

@@ -20,7 +20,7 @@
 //                        time with a half-close so the peer reads the
 //                        prefix then clean EOF)
 //   kSkew / kDrift node  the node's RealTimeDriver clock is offset /
-//                        drifts, exactly like sim::LocalClock
+//                        drifts through the shim's own sim::LocalClock
 //
 // FaultInjector is the PARENT side: it walks the crash/recover lane and
 // invokes kill/respawn callbacks (SIGKILL + re-exec in vlease_rt;
@@ -49,6 +49,7 @@
 #include "net/fault_plan.h"
 #include "rt/real_time.h"
 #include "rt/tcp_transport.h"
+#include "sim/local_clock.h"
 #include "util/rng.h"
 
 namespace vlease::rt {
@@ -98,8 +99,6 @@ class FaultShim final : public FaultHook {
   const net::FailureModel& failures() const { return failures_; }
 
  private:
-  void applyClock(SimTime rawNow);
-
   std::vector<net::FaultEvent> events_;  // window lane, time-sorted
   std::size_t next_ = 0;
   NodeId self_;
@@ -108,10 +107,7 @@ class FaultShim final : public FaultHook {
 
   net::FailureModel failures_;  // isolation, partition and loss windows
 
-  // Clock lane (self only): step offset + drift accrued from an anchor.
-  SimDuration skewOffset_ = 0;
-  double driftPpm_ = 0.0;
-  SimTime driftAnchor_ = 0;
+  sim::LocalClock clock_;  // self's skew and drift, on the raw timeline
 };
 
 }  // namespace vlease::rt

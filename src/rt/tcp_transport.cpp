@@ -152,10 +152,7 @@ void TcpTransport::closeConnection(int fd) {
     // Frames still queued die with the connection (at teardown; every
     // other path salvages them first); account them so every admitted
     // frame ends up in framesSent or sendFailures.
-    if (conn.pendingHead > 0) {
-      ++partialFrameAborts_;
-      metrics_.onTransportFrameAbort();
-    }
+    if (conn.pendingHead > 0) ++partialFrameAborts_;
     sendFailures_ += static_cast<std::int64_t>(conn.pending.size());
     connections_.erase(it);
   }
@@ -171,10 +168,7 @@ std::deque<std::vector<std::uint8_t>> TcpTransport::abortConnection(int fd) {
   auto it = connections_.find(fd);
   if (it != connections_.end()) {
     Connection& conn = it->second;
-    if (conn.pendingHead > 0) {
-      ++partialFrameAborts_;
-      metrics_.onTransportFrameAbort();
-    }
+    if (conn.pendingHead > 0) ++partialFrameAborts_;
     salvaged = std::move(conn.pending);
     conn.pending.clear();
     conn.pendingHead = 0;
@@ -227,7 +221,6 @@ void TcpTransport::readReady(int fd) {
     offset += 4 + len;
     if (!msg.has_value()) {
       ++framesRejected_;
-      metrics_.onTransportFrameRejected();
       VL_LOG_WARN << "tcp: undecodable frame dropped";
       continue;
     }
@@ -240,7 +233,6 @@ void TcpTransport::readReady(int fd) {
     // garbage: reject the prefix so the loss is visible.
     if (conn.buffer.size() - offset > 0) {
       ++framesRejected_;
-      metrics_.onTransportFrameRejected();
       if (dead) {
         VL_LOG_WARN << "tcp: connection died mid-frame, "
                     << (conn.buffer.size() - offset)
@@ -315,26 +307,17 @@ int TcpTransport::connectPeer(NodeId node, Peer& peer) {
     socklen_t slen = sizeof(soerr);
     if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &slen) != 0 ||
         soerr != 0) {
-      if (soerr == ECONNREFUSED) {
-        ++connectRefusals_;
-        metrics_.onTransportConnectRefused();
-      }
+      if (soerr == ECONNREFUSED) ++connectRefusals_;
       ::close(fd);
       return -1;
     }
   } else if (rc != 0) {
-    if (errno == ECONNREFUSED) {
-      ++connectRefusals_;
-      metrics_.onTransportConnectRefused();
-    }
+    if (errno == ECONNREFUSED) ++connectRefusals_;
     ::close(fd);
     return -1;
   }
   setNoDelay(fd);
-  if (peer.everConnected) {
-    ++reconnects_;
-    metrics_.onTransportReconnect();
-  }
+  if (peer.everConnected) ++reconnects_;
   peer.everConnected = true;
   peer.fd = fd;
   // Watch for replies arriving on the outbound connection too, and
@@ -448,7 +431,6 @@ void TcpTransport::retryFrames(NodeId node,
   Peer& peer = peerIt->second;
   for (int attempt = 1; attempt <= options_.maxRetries; ++attempt) {
     ++sendRetries_;
-    metrics_.onTransportRetry();
     backoffSleep(attempt);
     const int fd = connectPeer(node, peer);
     if (fd < 0) continue;
@@ -553,7 +535,6 @@ void TcpTransport::injectTruncation(NodeId node, Peer& peer,
   }
   if (written > 0 && static_cast<std::size_t>(written) < frame.size()) {
     ++partialFrameAborts_;
-    metrics_.onTransportFrameAbort();
   }
   if (fault.halfClose) ::shutdown(fd, SHUT_WR);
   closeConnection(fd);

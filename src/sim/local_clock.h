@@ -41,6 +41,20 @@ struct LocalClock {
 
   /// The node's reading of global instant `g`.
   SimTime localNow(SimTime g) const { return addSat(g, skewAt(g)); }
+
+  /// Step the total skew to exactly `d` at instant `g`; drift keeps
+  /// accruing from `g`.
+  void setOffset(SimTime g, SimDuration d) {
+    offset = d;
+    anchor = g;
+  }
+
+  /// Change the drift rate at instant `g`, preserving accrued skew.
+  void setDrift(SimTime g, double ppm) {
+    offset = skewAt(g);
+    anchor = g;
+    driftPpm = ppm;
+  }
 };
 
 /// Dense per-node clock table. Nodes without an entry (or never touched)
@@ -62,17 +76,12 @@ class ClockMap {
 
   /// Step the node's total skew to exactly `offset` at instant `g`.
   void setOffset(NodeId node, SimTime g, SimDuration offset) {
-    LocalClock& c = clockFor(node);
-    c.offset = offset;
-    c.anchor = g;
+    clockFor(node).setOffset(g, offset);
   }
 
   /// Change the drift rate at instant `g`, preserving accrued skew.
   void setDrift(NodeId node, SimTime g, double ppm) {
-    LocalClock& c = clockFor(node);
-    c.offset = c.skewAt(g);
-    c.anchor = g;
-    c.driftPpm = ppm;
+    clockFor(node).setDrift(g, ppm);
   }
 
   bool empty() const { return clocks_.empty(); }

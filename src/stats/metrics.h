@@ -95,29 +95,6 @@ class Metrics {
   /// detected violation of the algorithm's consistency guarantee.
   void onOracleViolation() { ++oracleViolations_; }
 
-  // ---- transport health (rt::TcpTransport) ----
-  // Socket-layer recovery events on real deployments: how often the
-  // transport had to retry a send, reopen a dead connection, abandon a
-  // frame mid-write, or reject an undecodable inbound frame. Zero in
-  // pure simulation; chaos runs read these to separate injected damage
-  // from protocol-level symptoms.
-
-  void onTransportRetry() { ++transportRetries_; }
-  void onTransportReconnect() { ++transportReconnects_; }
-  void onTransportFrameAbort() { ++transportFrameAborts_; }
-  void onTransportFrameRejected() { ++transportFramesRejected_; }
-  void onTransportConnectRefused() { ++transportConnectRefused_; }
-
-  std::int64_t transportRetries() const { return transportRetries_; }
-  std::int64_t transportReconnects() const { return transportReconnects_; }
-  std::int64_t transportFrameAborts() const { return transportFrameAborts_; }
-  std::int64_t transportFramesRejected() const {
-    return transportFramesRejected_;
-  }
-  std::int64_t transportConnectRefused() const {
-    return transportConnectRefused_;
-  }
-
   /// Set once the run finishes; state averages divide by this.
   void setHorizon(SimTime end) { horizon_ = end; }
 
@@ -196,12 +173,6 @@ class Metrics {
   Summary writeDelay_;
 
   std::int64_t oracleViolations_ = 0;
-
-  std::int64_t transportRetries_ = 0;
-  std::int64_t transportReconnects_ = 0;
-  std::int64_t transportFrameAborts_ = 0;
-  std::int64_t transportFramesRejected_ = 0;
-  std::int64_t transportConnectRefused_ = 0;
 
   SimTime horizon_ = 0;
 };

@@ -245,6 +245,101 @@ TEST(FederationTest, MigrateAwayThenReturnRatchetsEpoch) {
 }
 
 // ---------------------------------------------------------------------
+// An adopted volume is owned state like a native one: a crash, the
+// expiry sweep and end-of-run accounting must each reach its holder
+// records. Server 1 adopts server 0's volume at t = 1 s and, at t = 2 s,
+// grants one client a 30 s volume lease and a 120 s object lease on it.
+// Server 1's own volume sees no traffic, so every state byte it accrues
+// belongs to the adopted volume.
+// ---------------------------------------------------------------------
+
+class AdoptedVolumeState : public ::testing::TestWithParam<proto::Algorithm> {
+ protected:
+  AdoptedVolumeState() : catalog_(2, 1) {
+    vol_ = catalog_.addVolume(catalog_.serverNode(0));
+    catalog_.addVolume(catalog_.serverNode(1));
+    obj_ = catalog_.addObject(vol_, 4096);
+  }
+
+  /// Runs to t = 10 s with server 1 holding the two adopted records.
+  std::unique_ptr<driver::Simulation> start(SimDuration sweepPeriod) {
+    proto::ProtocolConfig config = chaosConfig(GetParam());
+    config.leaseSweepPeriod = sweepPeriod;
+    driver::SimOptions sim;
+    sim.migrations.push_back({sec(1), vol_, catalog_.serverNode(1), true});
+    auto simulation =
+        std::make_unique<driver::Simulation>(catalog_, config, sim);
+    simulation->drainTo(sec(2));
+    simulation->issueRead(catalog_.clientNode(0), obj_);
+    simulation->drainTo(sec(10));
+    const core::VolumeServer& srv = server1(*simulation);
+    EXPECT_TRUE(srv.ownsVolume(vol_));
+    EXPECT_EQ(srv.volumeEpoch(vol_), 2);
+    EXPECT_EQ(srv.validVolumeHolders(vol_), 1u);
+    EXPECT_EQ(srv.validObjectHolders(obj_), 1u);
+    return simulation;
+  }
+
+  core::VolumeServer& server1(driver::Simulation& simulation) {
+    return dynamic_cast<core::VolumeServer&>(
+        simulation.protocol().serverAt(catalog_.serverNode(1)));
+  }
+
+  /// Server 1's state integral in byte-microseconds, once finished.
+  double stateIntegral(driver::Simulation& simulation) {
+    const stats::Metrics& metrics = simulation.metrics();
+    return metrics.avgStateBytes(catalog_.serverNode(1)) *
+           static_cast<double>(metrics.horizon());
+  }
+
+  trace::Catalog catalog_;
+  VolumeId vol_;
+  ObjectId obj_;
+};
+
+TEST_P(AdoptedVolumeState, CrashBumpsItsEpochAndDropsItsHolders) {
+  auto simulation = start(/*sweepPeriod=*/0);
+  core::VolumeServer& srv = server1(*simulation);
+  srv.crashAndReboot();
+  EXPECT_EQ(srv.volumeEpoch(vol_), 3);
+  EXPECT_EQ(srv.validVolumeHolders(vol_), 0u);
+  EXPECT_EQ(srv.validObjectHolders(obj_), 0u);
+  simulation->finish();
+  // Both records were charged at the crash, from 2 s to 10 s.
+  EXPECT_DOUBLE_EQ(stateIntegral(*simulation),
+                   2.0 * stats::kBytesPerRecord * sec(8));
+}
+
+TEST_P(AdoptedVolumeState, SweepDrainsItsExpiredRecords) {
+  auto simulation = start(/*sweepPeriod=*/sec(10));
+  simulation->drainTo(sec(200));
+  const core::VolumeServer& srv = server1(*simulation);
+  // The sweep kept running until the object lease (to 122 s) was gone.
+  EXPECT_GE(srv.lastSweepAt(), sec(122));
+  EXPECT_EQ(srv.expiredHolderCount(sec(200)), 0u);
+  simulation->finish();
+  EXPECT_DOUBLE_EQ(stateIntegral(*simulation),
+                   stats::kBytesPerRecord * static_cast<double>(sec(150)));
+}
+
+TEST_P(AdoptedVolumeState, FinalAccountingChargesItsHolders) {
+  auto simulation = start(/*sweepPeriod=*/0);
+  simulation->finish();
+  ASSERT_EQ(simulation->metrics().horizon(), sec(10));
+  EXPECT_DOUBLE_EQ(stateIntegral(*simulation),
+                   2.0 * stats::kBytesPerRecord * sec(8));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothInvalidationModes, AdoptedVolumeState,
+                         ::testing::Values(
+                             proto::Algorithm::kVolumeLease,
+                             proto::Algorithm::kVolumeDelayedInval),
+                         [](const auto& info) {
+                           return std::string(
+                               proto::algorithmName(info.param));
+                         });
+
+// ---------------------------------------------------------------------
 // Satellite regression: multi-volume chaos workloads must actually
 // spread traffic across volumes (the old generator keyed every message
 // to each server's volume 0).

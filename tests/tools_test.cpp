@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -209,6 +210,23 @@ TEST(ToolsTest, RtRejectsUnknownNames) {
     EXPECT_EQ(WEXITSTATUS(rc), 1) << args << ": " << out;
     EXPECT_NE(out.find(message), std::string::npos) << args << ": " << out;
   }
+}
+
+TEST(ToolsTest, RtRemovesItsLogRootWhenEverySeedPasses) {
+  const std::string rt = toolPath("vlease_rt");
+  if (rt.empty()) GTEST_SKIP() << "tools not in ./tools";
+  std::string out;
+  const int rc = runTool(rt + " --seeds 1 --duration-ms 1000", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  ASSERT_EQ(WEXITSTATUS(rc), 0) << out;
+  const std::string marker = "logs in ";
+  const std::size_t at = out.find(marker);
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::size_t from = at + marker.size();
+  const std::string root = out.substr(from, out.find('\n', from) - from);
+  ASSERT_FALSE(root.empty()) << out;
+  struct stat info {};
+  EXPECT_NE(::stat(root.c_str(), &info), 0) << root << " was left behind";
 }
 
 }  // namespace

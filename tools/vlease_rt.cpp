@@ -39,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -603,7 +604,8 @@ SeedVerdict runSeed(std::uint64_t seed, const Flags& flags,
 
 int parentMain(const Flags& flags, const std::string& execPath) {
   std::string logRoot = flags.getString("log-dir");
-  if (logRoot.empty()) {
+  const bool madeRoot = logRoot.empty();
+  if (madeRoot) {
     char tmpl[] = "/tmp/vlease_rt.XXXXXX";
     const char* dir = ::mkdtemp(tmpl);
     if (dir == nullptr) {
@@ -655,7 +657,21 @@ int parentMain(const Flags& flags, const std::string& execPath) {
     if (!v.pass()) ++failures;
   }
   std::printf("parity: %s\n", failures == 0 ? "CONSISTENT" : "DIVERGED");
-  return failures == 0 ? 0 : 1;
+  if (failures > 0) {
+    std::printf("logs kept in %s\n", logRoot.c_str());
+    return 1;
+  }
+  // A root this run made holds nothing worth keeping once every seed
+  // passed; a --log-dir root belongs to the caller.
+  if (madeRoot) {
+    std::error_code ec;
+    std::filesystem::remove_all(logRoot, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot remove '%s': %s\n", logRoot.c_str(),
+                   ec.message().c_str());
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -683,7 +699,8 @@ int main(int argc, char** argv) {
                 "negative control: clients ack invalidations without "
                 "applying them; the parity check MUST fail");
   flags.addString("log-dir", "",
-                  "run-log directory (parent: root, default mkdtemp; "
+                  "run-log directory (parent: root, default a mkdtemp "
+                  "root removed when every seed passes; "
                   "workers: their seed's directory)");
   // worker mode
   flags.addInt("node", -1, "worker mode: host node index");
