@@ -136,9 +136,12 @@ build/tools/vlease_rt --algorithm delay --seeds 2 --intensity low \
 build/tools/vlease_rt --seeds 1 --scenario recovery --duration-ms 4000
 
 # Negative control: with clients acking invalidations without applying
-# them, the parity check MUST fail -- otherwise the gate is vacuous.
+# them, the parity check MUST fail -- otherwise the gate is vacuous. A
+# failing run keeps its logs, so they go to a directory removed on exit.
+rtLogs=$(mktemp -d)
+trap 'rm -rf "$rtLogs"' EXIT
 if build/tools/vlease_rt --seeds 1 --intensity low --duration-ms 3000 \
-    --break-invalidation >/dev/null 2>&1; then
+    --break-invalidation --log-dir "$rtLogs" >/dev/null 2>&1; then
   echo "negative control unexpectedly passed: parity gate is vacuous" >&2
   exit 1
 fi

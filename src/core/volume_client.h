@@ -11,7 +11,7 @@
 // version -> apply the server's invalidate/renew batch -> ack.
 //
 // State layout (see DESIGN.md "Dense protocol state" and "Workload
-// engine"): the cache is the dense-by-object-id proto::LeaseCache; per-volume
+// engine"): the cache is the paged-by-object-id proto::LeaseCache; per-volume
 // lease state lives in lazily grown vectors indexed by raw volume id;
 // the outstanding-request dedup table and the "reads waiting" index are
 // small flat vectors sized by what is actually in flight (a handful of
@@ -36,7 +36,7 @@ class VolumeClient final : public proto::ClientNode {
                const proto::ProtocolConfig& config)
       : ClientNode(ctx, id),
         config_(&config),
-        cache_(config.clientCacheCapacity, ctx.catalog.numObjects()),
+        cache_(config.clientCacheCapacity),
         pending_(ctx.scheduler) {}
 
   void read(ObjectId obj, proto::ReadCallback cb) override;
@@ -44,6 +44,9 @@ class VolumeClient final : public proto::ClientNode {
   void retire() override;
   void deliver(const net::Message& msg) override;
   void servable(SimTime now, std::vector<Servable>& out) const override;
+
+  /// The object cache (read-only; footprint reporting).
+  const proto::LeaseCache& cache() const { return cache_; }
 
   // ---- test hooks ----
   bool hasValidVolumeLease(VolumeId vol) const;

@@ -9,15 +9,20 @@
 // recently used entry (its lease is simply forgotten; the server's
 // record expires or is acked away on the next invalidation).
 //
-// Catalog object ids are small dense integers, so the cache indexes
-// entries directly by raw id: one lazily grown vector of 24-byte
-// entries, no hashing, no per-entry allocation. The LRU links live in a
-// side table that is only allocated for bounded caches, so the
+// Catalog object ids are small dense integers, but a client holds only
+// a slice of the catalog, so the cache is paged: a directory with one
+// page index per kPageSize ids (kNil = no page) points into a slab of
+// kPageSize-entry pages, and a page is allocated on the first insert of
+// one of its ids. find() is two array loads -- no hashing, no probing --
+// and a client pays for the pages it touches, not for the catalog.
+// Entries are 16 bytes. The LRU links live in a side table parallel to
+// the slab that is only allocated for bounded caches, so the
 // capacity == 0 fleet (every large-scale config) never pays for them.
 //
 // Iteration-order contract: forEach visits entries newest-first in
-// insertion order (an intrusive LIFO list threaded through the
-// entries). The volume client's reconnection exchange (-> RenewObjLeases
+// insertion order, read backwards off `held_`, the vector of held ids
+// (appended on insert, erased in place on eviction, emptied by
+// clear()). The volume client's reconnection exchange (-> RenewObjLeases
 // message order -> loss-roll consumption) makes that order observable,
 // so it must not change. The oracle sorts what servable() reports, so
 // no other caller observes it.
@@ -40,14 +45,14 @@ namespace vlease::proto {
 class LeaseCache {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Object ids per page (a power of two).
+  static constexpr std::uint32_t kPageSize = 16;
 
-  /// 24 bytes: object versions are write counters that fit 32 bits
+  /// 16 bytes: object versions are write counters that fit 32 bits
   /// with room to spare (checked on store).
   struct Entry {
     SimTime validUntil = kSimTimeMin;
     std::int32_t version32 = static_cast<std::int32_t>(kNoVersion);
-    std::uint32_t prev = kNil;  // insertion-order links, newest at head
-    std::uint32_t next = kNil;
     bool present = false;
     bool hasData = false;
     /// Whether the most recent object-lease grant for this entry carried
@@ -69,18 +74,14 @@ class LeaseCache {
       validUntil = kSimTimeMin;
     }
   };
-  static_assert(sizeof(Entry) == 24);
+  static_assert(sizeof(Entry) == 16);
 
-  /// `sizeHint`: expected id-space size (catalog object count); the
-  /// first growth reserves exactly this much so a million clients don't
-  /// each overshoot geometrically.
-  explicit LeaseCache(std::size_t capacity = 0, std::size_t sizeHint = 0)
-      : capacity_(capacity), sizeHint_(sizeHint) {}
+  explicit LeaseCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   const Entry* find(ObjectId obj) const {
-    const std::size_t i = raw(obj);
-    if (i >= entries_.size() || !entries_[i].present) return nullptr;
-    return &entries_[i];
+    const std::uint32_t s = slotOf(raw(obj));
+    if (s == kNil || !slab_[s].present) return nullptr;
+    return &slab_[s];
   }
 
   /// Mutable find WITHOUT refreshing LRU recency (bookkeeping writes
@@ -99,116 +100,119 @@ class LeaseCache {
 
   /// Find-or-insert, refreshing LRU recency; inserting beyond capacity
   /// evicts the least recently used entry (never the one just added).
+  /// The reference lasts until the next entry() call, whose new page
+  /// may move the slab.
   Entry& entry(ObjectId obj) {
-    const std::size_t i = raw(obj);
-    growTo(i);
-    Entry& e = entries_[i];
+    const std::uint32_t i = id(obj);
+    const std::uint32_t s = slotOrAllocate(i);
+    Entry& e = slab_[s];
     if (e.present) {
-      if (capacity_ > 0) lruMoveToFront(static_cast<std::uint32_t>(i));
+      if (capacity_ > 0) lruMoveToFront(i);
       return e;
     }
     e = Entry{};
     e.present = true;
-    insLinkFront(static_cast<std::uint32_t>(i));
-    ++size_;
+    held_.push_back(i);
     if (capacity_ > 0) {
-      lruLinkFront(static_cast<std::uint32_t>(i));
-      if (size_ > capacity_) evictLru();
+      lruLinkFront(i);
+      if (held_.size() > capacity_) evictLru();
     }
     return e;
   }
 
   /// Refresh LRU recency (cache-hit path).
   void touch(ObjectId obj) {
-    const std::size_t i = raw(obj);
-    if (capacity_ == 0 || i >= entries_.size() || !entries_[i].present) return;
-    lruMoveToFront(static_cast<std::uint32_t>(i));
+    if (capacity_ == 0 || find(obj) == nullptr) return;
+    lruMoveToFront(id(obj));
   }
 
   /// Forget every entry; keeps the storage (dropCache happens mid-run).
   void clear() {
-    for (std::uint32_t i = insHead_; i != kNil;) {
-      const std::uint32_t next = entries_[i].next;
-      entries_[i] = Entry{};
-      if (capacity_ > 0) lru_[i] = LruLink{};
-      i = next;
+    for (const std::uint32_t i : held_) {
+      const std::uint32_t s = slotOf(i);
+      slab_[s] = Entry{};
+      if (capacity_ > 0) lru_[s] = LruLink{};
     }
-    insHead_ = kNil;
+    held_.clear();
     lruHead_ = kNil;
     lruTail_ = kNil;
-    size_ = 0;
   }
 
   /// Release the storage too (client churn: a departed client returns
   /// its memory; re-arrival regrows lazily).
   void releaseMemory() {
-    std::vector<Entry>().swap(entries_);
+    std::vector<std::uint32_t>().swap(dir_);
+    std::vector<Entry>().swap(slab_);
     std::vector<LruLink>().swap(lru_);
-    insHead_ = kNil;
+    std::vector<std::uint32_t>().swap(held_);
     lruHead_ = kNil;
     lruTail_ = kNil;
-    size_ = 0;
   }
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return held_.size(); }
   std::int64_t evictions() const { return evictions_; }
+  /// Heap bytes reserved by the cache's arrays (not the object itself).
+  std::size_t memoryBytes() const {
+    return dir_.capacity() * sizeof(std::uint32_t) +
+           slab_.capacity() * sizeof(Entry) +
+           lru_.capacity() * sizeof(LruLink) +
+           held_.capacity() * sizeof(std::uint32_t);
+  }
 
   /// Visit every (id, entry) pair, newest insertion first (the
   /// reconnection exchange enumerates the cache; order is observable).
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    for (std::uint32_t i = insHead_; i != kNil; i = entries_[i].next) {
-      fn(makeObjectId(i), entries_[i]);
+    for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
+      fn(makeObjectId(*it), slab_[slotOf(*it)]);
     }
   }
 
  private:
+  /// LRU neighbours by object id, stored at the entry's slab slot.
   struct LruLink {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
 
-  void growTo(std::size_t i) {
-    if (i < entries_.size()) return;
-    const std::size_t target = std::max(i + 1, sizeHint_);
-    entries_.reserve(target);
-    entries_.resize(i + 1);
-    if (capacity_ > 0) {
-      lru_.reserve(target);
-      lru_.resize(i + 1);
-    }
+  static std::uint32_t id(ObjectId obj) {
+    VL_DCHECK(raw(obj) < kNil);
+    return static_cast<std::uint32_t>(raw(obj));
   }
 
-  void insLinkFront(std::uint32_t i) {
-    entries_[i].prev = kNil;
-    entries_[i].next = insHead_;
-    if (insHead_ != kNil) entries_[insHead_].prev = i;
-    insHead_ = i;
+  /// Slab slot of id `i`, or kNil when its page is not allocated.
+  std::uint32_t slotOf(std::uint64_t i) const {
+    const std::uint64_t p = i / kPageSize;
+    if (p >= dir_.size() || dir_[p] == kNil) return kNil;
+    return dir_[p] * kPageSize + static_cast<std::uint32_t>(i % kPageSize);
   }
-  void insUnlink(std::uint32_t i) {
-    Entry& e = entries_[i];
-    if (e.prev != kNil) entries_[e.prev].next = e.next;
-    if (e.next != kNil) entries_[e.next].prev = e.prev;
-    if (insHead_ == i) insHead_ = e.next;
-    e.prev = kNil;
-    e.next = kNil;
+
+  std::uint32_t slotOrAllocate(std::uint32_t i) {
+    const std::uint32_t p = i / kPageSize;
+    if (p >= dir_.size()) dir_.resize(p + 1, kNil);
+    if (dir_[p] == kNil) {
+      dir_[p] = static_cast<std::uint32_t>(slab_.size() / kPageSize);
+      slab_.resize(slab_.size() + kPageSize);
+      if (capacity_ > 0) lru_.resize(slab_.size());
+    }
+    return dir_[p] * kPageSize + i % kPageSize;
   }
+
+  LruLink& link(std::uint32_t i) { return lru_[slotOf(i)]; }
 
   void lruLinkFront(std::uint32_t i) {
-    lru_[i].prev = kNil;
-    lru_[i].next = lruHead_;
-    if (lruHead_ != kNil) lru_[lruHead_].prev = i;
+    link(i) = LruLink{kNil, lruHead_};
+    if (lruHead_ != kNil) link(lruHead_).prev = i;
     lruHead_ = i;
     if (lruTail_ == kNil) lruTail_ = i;
   }
   void lruUnlink(std::uint32_t i) {
-    LruLink& l = lru_[i];
-    if (l.prev != kNil) lru_[l.prev].next = l.next;
-    if (l.next != kNil) lru_[l.next].prev = l.prev;
+    LruLink& l = link(i);
+    if (l.prev != kNil) link(l.prev).next = l.next;
+    if (l.next != kNil) link(l.next).prev = l.prev;
     if (lruHead_ == i) lruHead_ = l.next;
     if (lruTail_ == i) lruTail_ = l.prev;
-    l.prev = kNil;
-    l.next = kNil;
+    l = LruLink{};
   }
   void lruMoveToFront(std::uint32_t i) {
     if (lruHead_ == i) return;
@@ -219,21 +223,19 @@ class LeaseCache {
     const std::uint32_t victim = lruTail_;
     VL_DCHECK(victim != kNil);
     lruUnlink(victim);
-    insUnlink(victim);
-    entries_[victim].present = false;
-    --size_;
+    held_.erase(std::find(held_.begin(), held_.end(), victim));
+    slab_[slotOf(victim)].present = false;
     ++evictions_;
   }
 
   std::size_t capacity_;
-  std::size_t sizeHint_;
   std::int64_t evictions_ = 0;
-  std::vector<Entry> entries_;  // by raw object id, lazily grown
-  std::vector<LruLink> lru_;    // allocated only when capacity_ > 0
-  std::uint32_t insHead_ = kNil;
-  std::uint32_t lruHead_ = kNil;  // most recently used
-  std::uint32_t lruTail_ = kNil;  // least recently used
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> dir_;   // page index by id / kPageSize
+  std::vector<Entry> slab_;          // kPageSize entries per page
+  std::vector<LruLink> lru_;         // parallel to slab_; capacity_ > 0
+  std::vector<std::uint32_t> held_;  // held ids, oldest insertion first
+  std::uint32_t lruHead_ = kNil;     // most recently used
+  std::uint32_t lruTail_ = kNil;     // least recently used
 };
 
 

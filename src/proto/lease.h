@@ -104,7 +104,7 @@ class LeaseClient final : public ClientNode {
       : ClientNode(ctx, id),
         config_(config),
         mode_(mode),
-        cache_(config.clientCacheCapacity, ctx.catalog.numObjects()),
+        cache_(config.clientCacheCapacity),
         pending_(ctx.scheduler) {}
 
   void read(ObjectId obj, ReadCallback cb) override;

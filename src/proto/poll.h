@@ -46,7 +46,7 @@ class PollClient final : public ClientNode {
   PollClient(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config)
       : ClientNode(ctx, id),
         config_(config),
-        cache_(config.clientCacheCapacity, ctx.catalog.numObjects()),
+        cache_(config.clientCacheCapacity),
         pending_(ctx.scheduler) {}
 
   void read(ObjectId obj, ReadCallback cb) override;

@@ -188,6 +188,27 @@ TEST(ToolsTest, ScaleRejectsBadSizes) {
   }
 }
 
+TEST(ToolsTest, ScaleReportsClientCacheLedger) {
+  const std::string scale = toolPath("vlease_scale");
+  if (scale.empty()) GTEST_SKIP() << "tools not in ./tools";
+  // The per-component byte ledger starts with the client caches: the
+  // heap they reserve and the entries they hold. Each held entry takes
+  // at least its own 16 bytes.
+  std::string out;
+  const int rc = runTool(scale + " --clients 200 --events 2000", &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  ASSERT_EQ(WEXITSTATUS(rc), 0) << out;
+  const auto field = [&out](const std::string& key) -> long long {
+    const std::string pat = "\"" + key + "\": ";
+    const std::size_t at = out.find(pat);
+    return at == std::string::npos ? -1 : std::atoll(out.c_str() + at + pat.size());
+  };
+  const long long bytes = field("client_cache_bytes");
+  const long long entries = field("client_cache_entries");
+  EXPECT_GT(entries, 0) << out;
+  EXPECT_GE(bytes, 16 * entries) << out;
+}
+
 TEST(ToolsTest, RtRejectsUnknownNames) {
   const std::string rt = toolPath("vlease_rt");
   if (rt.empty()) GTEST_SKIP() << "tools not in ./tools";

@@ -30,6 +30,7 @@
 #include <string>
 #include <utility>
 
+#include "core/volume_client.h"
 #include "driver/simulation.h"
 #include "trace/stream.h"
 #include "util/flags.h"
@@ -242,6 +243,15 @@ int main(int argc, char** argv) {
     controlLoad = windowLoad(m, catalog, stream.flashAt - width,
                              stream.flashAt);
   }
+  // Per-component byte ledger, client caches first: the heap each
+  // client's LeaseCache reserves, and the entries it holds. Every
+  // client is a VolumeClient (config.algorithm above).
+  std::size_t cacheBytes = 0, cacheEntries = 0;
+  for (const auto& c : simulation.protocol().clients) {
+    const auto& cache = static_cast<const core::VolumeClient&>(*c).cache();
+    cacheBytes += cache.memoryBytes();
+    cacheEntries += cache.size();
+  }
   std::printf(
       "{\n"
       "  \"clients\": %u,\n"
@@ -271,6 +281,8 @@ int main(int argc, char** argv) {
       "  \"wall_seconds\": %.3f,\n"
       "  \"events_per_second\": %.0f,\n"
       "  \"fired_per_second\": %.0f,\n"
+      "  \"client_cache_bytes\": %zu,\n"
+      "  \"client_cache_entries\": %zu,\n"
       "  \"peak_rss_mb\": %.1f\n"
       "}\n",
       numClients, static_cast<long long>(numEvents),
@@ -292,6 +304,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(m.oracleViolations()), wall,
       static_cast<double>(numEvents) / wall,
       static_cast<double>(simulation.scheduler().firedCount()) / wall,
-      static_cast<double>(peakRssKb()) / 1024.0);
+      cacheBytes, cacheEntries, static_cast<double>(peakRssKb()) / 1024.0);
   return 0;
 }
