@@ -25,6 +25,13 @@ if [[ "${VLEASE_TSAN:-OFF}" == "ON" ]]; then
   exit 0
 fi
 
+# Determinism must not rest on a standard library's hash-table order:
+# the protocol endpoints keep their state in index-addressed tables.
+if grep -rnE '#include <unordered_(map|set)>' src/proto src/core; then
+  echo "src/proto or src/core includes a std hash container" >&2
+  exit 1
+fi
+
 cmake -B build -S . -DVLEASE_SANITIZE=${VLEASE_SANITIZE:-OFF}
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
@@ -79,6 +86,12 @@ build/tools/vlease_chaos --algorithms volume --by-expiry --seeds 16 \
   --intensity high
 build/tools/vlease_chaos --by-expiry --seeds 16 --intensity high \
   --skew medium
+
+# The server-driven baselines under high faults: Callback and Lease wait
+# for acks, Best Effort does not, and none may read stale outside its
+# contract.
+build/tools/vlease_chaos --algorithms callback,lease,best-effort --seeds 16 \
+  --intensity high
 
 # Client churn and a flash crowd on top of high faults and migrations:
 # departed clients leave Inactive entries and pending lists behind, and

@@ -18,7 +18,6 @@ using proto::ProtocolInstance;
 ProtocolInstance makeProtocol(const ProtocolConfig& config,
                               ProtocolContext& ctx) {
   ProtocolInstance instance;
-  instance.config = config;
   // Poll Each Read is Poll with a zero window. The effective config
   // lives on the instance (shared, immutable): clients reference it
   // instead of each holding a copy.
@@ -40,7 +39,7 @@ ProtocolInstance makeProtocol(const ProtocolConfig& config,
       case Algorithm::kPoll:
       case Algorithm::kPollAdaptive:
         instance.servers.push_back(
-            std::make_unique<proto::PollServer>(ctx, id, effective));
+            std::make_unique<proto::PollServer>(ctx, id));
         break;
       case Algorithm::kCallback:
         instance.servers.push_back(std::make_unique<proto::LeaseServer>(

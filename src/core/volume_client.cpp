@@ -143,8 +143,7 @@ void VolumeClient::pump(ObjectId obj) {
 
 void VolumeClient::pumpVolume(VolumeId vol) {
   const std::uint32_t v = static_cast<std::uint32_t>(raw(vol));
-  // pump() mutates the index; iterate a snapshot (newest-first, the
-  // same order the old unordered_set produced).
+  // pump() mutates the index; iterate a snapshot, newest-first.
   std::vector<ObjectId> objs = std::move(pumpScratch_);
   objs.clear();
   for (std::size_t i = waiting_.size(); i-- > 0;) {

@@ -16,7 +16,6 @@ VolumeServer::VolumeServer(proto::ProtocolContext& ctx, NodeId id,
     : ServerNode(ctx, id),
       config_(config),
       mode_(mode),
-      numServers_(ctx.catalog.numServers()),
       numClients_(ctx.catalog.numClients()),
       volumes_(ctx.catalog.volumesOnServer(id)),
       objects_(ctx.catalog.objectsOnServer(id)),
@@ -66,8 +65,7 @@ Epoch VolumeServer::volumeEpoch(VolumeId volId) const {
   return v == nullptr ? 1 : v->epoch;
 }
 
-std::size_t VolumeServer::validHolders(
-    const util::LifoIndexMap<LeaseRecord>& holders) const {
+std::size_t VolumeServer::validHolders(const Holders& holders) const {
   const SimTime now = ctx_.scheduler.now();
   std::size_t n = 0;
   holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
@@ -88,7 +86,7 @@ std::size_t VolumeServer::validVolumeHolders(VolumeId volId) const {
 
 std::size_t VolumeServer::expiredHolderCount(SimTime now) const {
   std::size_t n = 0;
-  auto count = [&](const util::LifoIndexMap<LeaseRecord>& holders) {
+  auto count = [&](const Holders& holders) {
     holders.forEach([&](std::uint32_t, const LeaseRecord& r) {
       if (graceExpire(r.expire) <= now) ++n;
     });
@@ -97,22 +95,6 @@ std::size_t VolumeServer::expiredHolderCount(SimTime now) const {
   self->forEachOwnedVol([&](const VolState& v) { count(v.holders); });
   self->forEachOwnedObj([&](const ObjState& st) { count(st.holders); });
   return n;
-}
-
-void VolumeServer::removeHolder(util::LifoIndexMap<LeaseRecord>& holders,
-                                std::uint32_t ci) {
-  LeaseRecord* rec = holders.find(ci);
-  if (rec == nullptr) return;
-  stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
-                      ctx_.scheduler.now());
-  holders.erase(ci);
-}
-
-void VolumeServer::accrueHolders(util::LifoIndexMap<LeaseRecord>& holders,
-                                 SimTime now) {
-  holders.forEach([&](std::uint32_t, LeaseRecord& r) {
-    stats::accrueRecord(ctx_.metrics, id(), r.lastAccounted, r.expire, now);
-  });
 }
 
 void VolumeServer::accrueVolume(VolState& v, SimTime now) {
@@ -137,25 +119,6 @@ void VolumeServer::dropObjectLeases(ObjState& st, SimTime now) {
   accrueHolders(st.holders, now);
   st.holders.clear();
   st.expire = kSimTimeMin;
-}
-
-const VolumeServer::LeaseRecord& VolumeServer::renewHolder(
-    util::LifoIndexMap<LeaseRecord>& holders, std::uint32_t ci,
-    SimTime term) {
-  const SimTime now = ctx_.scheduler.now();
-  auto [rec, inserted] = holders.tryEmplace(ci);
-  if (!inserted) {
-    stats::accrueRecord(ctx_.metrics, id(), rec->lastAccounted, rec->expire,
-                        now);
-  }
-  rec->expire = addSat(now, term);
-  rec->lastAccounted = now;
-  // The sweep relies on grant order == expiry order within a table:
-  // every grant is now + the table's one fixed term, and now only moves
-  // forward, so this record cannot expire before the current newest.
-  VL_DCHECK(holders.newest().value->expire <= rec->expire);
-  holders.touch(ci);
-  return *rec;
 }
 
 void VolumeServer::accruePending(InactiveClient& in, SimTime now) {
@@ -1105,7 +1068,7 @@ void VolumeServer::sweepExpiredLeases() {
   const SimTime now = ctx_.scheduler.now();
   lastSweepAt_ = now;
   std::size_t remaining = 0;
-  auto sweepTable = [&](util::LifoIndexMap<LeaseRecord>& holders,
+  auto sweepTable = [&](Holders& holders,
                         auto&& onErase) {
     for (auto e = holders.oldest();
          e.value != nullptr && graceExpire(e.value->expire) <= now;

@@ -123,10 +123,6 @@ class VolumeServer final : public proto::ServerNode {
   static constexpr std::size_t kDeferredClosureBytes = 96;
   using DeferredFn = util::InplaceFunction<void(), kDeferredClosureBytes, 8>;
 
-  struct LeaseRecord {
-    SimTime expire = kSimTimeMin;
-    SimTime lastAccounted = 0;
-  };
   struct PendingMsg {
     ObjectId obj;
     SimTime lastAccounted;
@@ -147,7 +143,7 @@ class VolumeServer final : public proto::ServerNode {
   struct VolState {
     Epoch epoch = 1;
     SimTime expire = kSimTimeMin;  // aggregate lease horizon
-    util::LifoIndexMap<LeaseRecord> holders;      // by client index
+    Holders holders;                              // by client index
     std::vector<std::uint8_t> unreachable;        // by client index
     util::LifoIndexMap<InactiveClient> inactive;  // by client index
     /// Writes currently in flight on objects of this volume; volume
@@ -182,7 +178,7 @@ class VolumeServer final : public proto::ServerNode {
   struct ObjState {
     Version version = 1;
     SimTime expire = kSimTimeMin;  // aggregate lease horizon
-    util::LifoIndexMap<LeaseRecord> holders;  // by client index
+    Holders holders;  // by client index
     /// Slot of the in-flight write in pwPool_, kNilIdx when none.
     std::uint32_t pendingWrite = util::kNilIdx;
     /// This object's row of queuedBits_, assigned when it is first
@@ -239,12 +235,6 @@ class VolumeServer final : public proto::ServerNode {
   }
 
   // ---- dense id plumbing ----
-  std::uint32_t clientIdx(NodeId client) const {
-    return raw(client) - numServers_;
-  }
-  NodeId clientNode(std::uint32_t idx) const {
-    return makeNodeId(numServers_ + idx);
-  }
   static std::uint64_t sessionKey(std::uint32_t clientIdx, VolumeId vol) {
     return (static_cast<std::uint64_t>(clientIdx) << 32) | raw(vol);
   }
@@ -297,8 +287,7 @@ class VolumeServer final : public proto::ServerNode {
   const VolState* volFind(VolumeId id) const;
   const ObjState* objFind(ObjectId id) const;
   /// Records in `holders` whose lease is still valid now.
-  std::size_t validHolders(
-      const util::LifoIndexMap<LeaseRecord>& holders) const;
+  std::size_t validHolders(const Holders& holders) const;
 
   /// The volume a message's payload addresses; used by deliver() to
   /// drop stragglers for volumes this server no longer owns (the client
@@ -358,16 +347,6 @@ class VolumeServer final : public proto::ServerNode {
   void commitWrite(ObjectId obj);
   void drainVolumeDeferred(VolumeId volId);
 
-  /// Grant `ci` a lease of `term` from now in `holders` (accruing the
-  /// record it replaces) and move it to the newest end of the table's
-  /// grant order. Every holder-record expiry is set here.
-  const LeaseRecord& renewHolder(util::LifoIndexMap<LeaseRecord>& holders,
-                                 std::uint32_t ci, SimTime term);
-  /// Accrue and drop `ci`'s record in `holders`, if it has one.
-  void removeHolder(util::LifoIndexMap<LeaseRecord>& holders,
-                    std::uint32_t ci);
-  /// Accrue every record in `holders` up to `now`.
-  void accrueHolders(util::LifoIndexMap<LeaseRecord>& holders, SimTime now);
   /// Accrue a volume's holder records and pending lists up to `now`.
   void accrueVolume(VolState& v, SimTime now);
   /// The lease soft state a crash or a migrate-out drops (paper
@@ -455,7 +434,6 @@ class VolumeServer final : public proto::ServerNode {
 
   const proto::ProtocolConfig config_;
   const InvalidationMode mode_;
-  const std::uint32_t numServers_;
   const std::uint32_t numClients_;
 
   // One slot store per kind: native slots by catalog localIndex, then

@@ -100,14 +100,6 @@ void PendingReads::resolveAll(ObjectId obj, const ReadResult& result) {
   resolveScratch_ = std::move(tokens);
 }
 
-std::vector<PendingReads::Token> PendingReads::tokensFor(ObjectId obj) const {
-  std::vector<Token> out;
-  for (std::uint32_t s = liveHead_; s != kNil; s = pool_[s].next) {
-    if (pool_[s].obj == obj) out.push_back(makeToken(s, pool_[s].gen));
-  }
-  return out;
-}
-
 void PendingReads::resolveOne(Token token, const ReadResult& result) {
   if (lookup(token) == nullptr) return;
   finish(static_cast<std::uint32_t>(token), result);

@@ -274,10 +274,6 @@ class PendingReads {
   /// Resolve every op waiting on `obj` with `result`, oldest first.
   void resolveAll(ObjectId obj, const ReadResult& result);
 
-  /// Tokens waiting on `obj` (for callers that must re-examine each op
-  /// individually), oldest first.
-  std::vector<Token> tokensFor(ObjectId obj) const;
-
   /// Resolve a specific op (no-op if already resolved).
   void resolveOne(Token token, const ReadResult& result);
 

@@ -8,49 +8,27 @@ namespace vlease::proto {
 
 // ---- server ----
 
-LeaseServer::ObjState& LeaseServer::state(ObjectId obj) {
-  return objects_[obj];
-}
-
 Version LeaseServer::currentVersion(ObjectId obj) const {
-  auto it = objects_.find(obj);
-  return it == objects_.end() ? 1 : it->second.version;
-}
-
-void LeaseServer::removeHolder(ObjState& st, NodeId client) {
-  auto it = st.holders.find(client);
-  if (it == st.holders.end()) return;
-  stats::accrueRecord(ctx_.metrics, id(), it->second.lastAccounted,
-                      it->second.expire, ctx_.scheduler.now());
-  st.holders.erase(it);
+  return objects_[nativeSlot(obj)].version;
 }
 
 void LeaseServer::handleLeaseRequest(const net::Message& msg) {
   const auto& req = std::get<net::ReqObjLease>(msg.payload);
-  auto pendingIt = pendingWrites_.find(req.obj);
-  if (pendingIt != pendingWrites_.end()) {
+  ObjState& st = state(req.obj);
+  if (st.pending != nullptr) {
     // A write is in flight: defer the grant until it commits so we never
     // lease out a version that is about to change.
-    pendingIt->second.deferredRequests.push_back(msg);
+    st.pending->deferredRequests.push_back(msg);
     return;
   }
-  const SimTime now = ctx_.scheduler.now();
-  ObjState& st = state(req.obj);
-  auto [it, inserted] = st.holders.try_emplace(
-      msg.from, LeaseRecord{kSimTimeMin, now});
-  if (!inserted) {
-    // Renewal: settle the old record's accounting first.
-    stats::accrueRecord(ctx_.metrics, id(), it->second.lastAccounted,
-                        it->second.expire, now);
-  }
-  it->second.expire = addSat(now, leaseLength());
-  it->second.lastAccounted = now;
-  st.expire = std::max(st.expire, it->second.expire);
+  const LeaseRecord& rec =
+      renewHolder(st.holders, clientIdx(msg.from), leaseLength());
+  st.expire = std::max(st.expire, rec.expire);
 
   const bool changed = st.version != req.haveVersion;
   ctx_.transport.send(net::Message{
       id(), msg.from,
-      net::ObjLeaseGrant{req.obj, st.version, it->second.expire, changed,
+      net::ObjLeaseGrant{req.obj, st.version, rec.expire, changed,
                          changed ? ctx_.catalog.object(req.obj).sizeBytes
                                  : 0}});
 }
@@ -73,10 +51,10 @@ void LeaseServer::writeInternal(ObjectId obj, WriteCallback cb,
         });
     return;
   }
-  auto pendingIt = pendingWrites_.find(obj);
-  if (pendingIt != pendingWrites_.end()) {
+  PendingWrite* pending = state(obj).pending.get();
+  if (pending != nullptr) {
     // Serialize writes to one object: run after the in-flight one.
-    pendingIt->second.queuedWrites.push_back(std::move(cb));
+    pending->queuedWrites.push_back(std::move(cb));
     (void)requestedAt;  // queued writes restart their clock at dequeue
     return;
   }
@@ -88,10 +66,10 @@ void LeaseServer::startWrite(ObjectId obj, WriteCallback cb,
   const SimTime now = ctx_.scheduler.now();
   ObjState& st = state(obj);
 
-  std::vector<NodeId> targets;
-  for (const auto& [client, record] : st.holders) {
-    if (graceExpire(record.expire) > now) targets.push_back(client);
-  }
+  std::vector<std::uint32_t> targets;
+  st.holders.forEach([&](std::uint32_t ci, const LeaseRecord& record) {
+    if (graceExpire(record.expire) > now) targets.push_back(ci);
+  });
 
   if (mode_ == LeaseMode::kBestEffort) {
     // Fire-and-forget: notify everyone, drop their records (the server
@@ -99,11 +77,12 @@ void LeaseServer::startWrite(ObjectId obj, WriteCallback cb,
     // invalidation can read stale data until its lease expires. With
     // Liu-Cao retries configured, keep retransmitting until the client
     // acknowledges or the budget runs out.
-    for (NodeId c : targets) {
-      ctx_.transport.send(net::Message{id(), c, net::Invalidate{obj}});
-      removeHolder(st, c);
+    for (std::uint32_t ci : targets) {
+      ctx_.transport.send(
+          net::Message{id(), clientNode(ci), net::Invalidate{obj}});
+      removeHolder(st.holders, ci);
       if (config_.bestEffortRetries > 0) {
-        scheduleRetry(obj, c, config_.bestEffortRetries);
+        scheduleRetry(obj, clientNode(ci), config_.bestEffortRetries);
       }
     }
     ++st.version;
@@ -119,83 +98,67 @@ void LeaseServer::startWrite(ObjectId obj, WriteCallback cb,
     return;
   }
 
+  VL_CHECK(st.pending == nullptr);
+  st.pending = std::make_unique<PendingWrite>();
+  PendingWrite& pw = *st.pending;
+  pw.cb = std::move(cb);
+  pw.startedAt = requestedAt;
+  SimTime deadline;
   if (mode_ == LeaseMode::kLease && config_.writeByLeaseExpiry) {
     // Invalidate-by-waiting: send nothing; commit when every lease on
     // the object has drained. Still strongly consistent -- clients keep
     // reading the OLD version until the write commits.
-    PendingWrite pw;
-    pw.cb = std::move(cb);
-    pw.startedAt = requestedAt;
-    auto [it, inserted] = pendingWrites_.emplace(obj, std::move(pw));
-    VL_CHECK(inserted);
-    it->second.timer = ctx_.scheduler.scheduleAt(
-        std::max(graceExpire(st.expire), now),
-        [this, obj]() { commitWrite(obj, /*viaTimeout=*/true); });
-    return;
+    deadline = std::max(graceExpire(st.expire), now);
+  } else {
+    pw.waiting = std::move(targets);
+    for (std::uint32_t ci : pw.waiting) {
+      ctx_.transport.send(
+          net::Message{id(), clientNode(ci), net::Invalidate{obj}});
+    }
+    // Ack-wait bound T_f: lease expiry (Lease) with the msgTimeout
+    // floor; Callback has no lease to wait out, so msgTimeout is the
+    // simulator's force-complete bound for what the paper treats as an
+    // infinite wait.
+    deadline = mode_ == LeaseMode::kCallback
+                   ? addSat(now, config_.msgTimeout)
+                   : std::max(graceExpire(st.expire),
+                              addSat(now, config_.msgTimeout));
   }
-
-  PendingWrite pw;
-  pw.cb = std::move(cb);
-  pw.startedAt = requestedAt;
-  pw.waiting.insert(targets.begin(), targets.end());
-  for (NodeId c : targets) {
-    ctx_.transport.send(net::Message{id(), c, net::Invalidate{obj}});
-  }
-  // Ack-wait bound T_f: lease expiry (Lease) with the msgTimeout floor;
-  // Callback has no lease to wait out, so msgTimeout is the simulator's
-  // force-complete bound for what the paper treats as an infinite wait.
-  SimTime deadline =
-      mode_ == LeaseMode::kCallback
-          ? addSat(now, config_.msgTimeout)
-          : std::max(graceExpire(st.expire), addSat(now, config_.msgTimeout));
-  auto [it, inserted] = pendingWrites_.emplace(obj, std::move(pw));
-  VL_CHECK(inserted);
-  it->second.timer = ctx_.scheduler.scheduleAt(
+  // Acks are delivered after this handler returns, so the commit always
+  // goes through deliver() or this timer.
+  pw.timer = ctx_.scheduler.scheduleAt(
       deadline, [this, obj]() { commitWrite(obj, /*viaTimeout=*/true); });
-  // Zero-latency acks may already have arrived -- they cannot have,
-  // actually: deliveries happen after this handler returns. The commit
-  // always goes through deliver() or the timer.
 }
 
 void LeaseServer::commitWrite(ObjectId obj, bool viaTimeout) {
-  auto it = pendingWrites_.find(obj);
-  VL_CHECK(it != pendingWrites_.end());
+  ObjState& st = state(obj);
+  VL_CHECK(st.pending != nullptr);
   const SimTime now = ctx_.scheduler.now();
-  PendingWrite& pw = it->second;
+  PendingWrite& pw = *st.pending;
   pw.timer.cancel();
 
-  ObjState& st = state(obj);
   const bool blocked =
       viaTimeout && mode_ == LeaseMode::kCallback && !pw.waiting.empty();
   if (mode_ == LeaseMode::kLease) {
     // Any client that never acked has, by construction of T_f, an
     // expired lease; drop its record.
-    for (NodeId c : pw.waiting) removeHolder(st, c);
+    for (std::uint32_t ci : pw.waiting) removeHolder(st.holders, ci);
   }
   ++st.version;
   ctx_.metrics.onWrite(now - pw.startedAt, blocked);
   if (pw.cb) pw.cb(WriteResult{now - pw.startedAt, blocked, st.version});
 
-  // Release deferred work. Move the queues out first: re-delivered
-  // requests and queued writes mutate pendingWrites_.
-  std::deque<net::Message> deferred = std::move(pw.deferredRequests);
-  std::deque<WriteCallback> queued = std::move(pw.queuedWrites);
-  pendingWrites_.erase(it);
-  for (net::Message& m : deferred) handleLeaseRequest(m);
-  if (!queued.empty()) {
-    WriteCallback next = std::move(queued.front());
-    queued.pop_front();
-    startWrite(obj, std::move(next), now);
-    if (!queued.empty()) {
-      auto again = pendingWrites_.find(obj);
-      if (again != pendingWrites_.end()) {
-        for (auto& w : queued) again->second.queuedWrites.push_back(std::move(w));
-      } else {
-        // The next write committed synchronously (no valid holders);
-        // drain the rest the same way.
-        for (auto& w : queued) writeInternal(obj, std::move(w), now);
-      }
-    }
+  // Release deferred work. Take the write out first: re-delivered
+  // requests grant at once, and queued writes start their own.
+  const std::unique_ptr<PendingWrite> done = std::move(st.pending);
+  for (net::Message& m : done->deferredRequests) handleLeaseRequest(m);
+  std::vector<WriteCallback>& queued = done->queuedWrites;
+  if (queued.empty()) return;
+  startWrite(obj, std::move(queued.front()), now);
+  // The rest queue behind the next write, or start in turn when it
+  // committed synchronously (no valid holders).
+  for (std::size_t i = 1; i < queued.size(); ++i) {
+    writeInternal(obj, std::move(queued[i]), now);
   }
 }
 
@@ -236,13 +199,15 @@ void LeaseServer::deliver(const net::Message& msg) {
     }
     return;
   }
-  auto it = pendingWrites_.find(ack->obj);
-  if (it == pendingWrites_.end()) return;  // late/duplicate ack
-  PendingWrite& pw = it->second;
-  if (pw.waiting.erase(msg.from) == 0) return;
   ObjState& st = state(ack->obj);
-  removeHolder(st, msg.from);  // the client dropped its copy
-  if (pw.waiting.empty()) commitWrite(ack->obj, /*viaTimeout=*/false);
+  if (st.pending == nullptr) return;  // late/duplicate ack
+  std::vector<std::uint32_t>& waiting = st.pending->waiting;
+  const std::uint32_t ci = clientIdx(msg.from);
+  const auto it = std::find(waiting.begin(), waiting.end(), ci);
+  if (it == waiting.end()) return;
+  waiting.erase(it);
+  removeHolder(st.holders, ci);  // the client dropped its copy
+  if (waiting.empty()) commitWrite(ack->obj, /*viaTimeout=*/false);
 }
 
 void LeaseServer::crashAndReboot() {
@@ -254,31 +219,26 @@ void LeaseServer::crashAndReboot() {
   if (mode_ != LeaseMode::kCallback) {
     recoveryUntil_ = graceExpire(addSat(now, config_.objectTimeout));
   }
-  for (auto& [obj, st] : objects_) {
-    for (auto& [client, record] : st.holders) {
-      stats::accrueRecord(ctx_.metrics, id(), record.lastAccounted,
-                          record.expire, now);
-    }
+  for (ObjState& st : objects_) {
+    accrueHolders(st.holders, now);
     st.holders.clear();
     st.expire = kSimTimeMin;
   }
-  for (auto& [obj, pw] : pendingWrites_) {
+  // Pending writes complete as blocked, in object order.
+  for (ObjState& st : objects_) {
+    if (st.pending == nullptr) continue;
+    PendingWrite& pw = *st.pending;
     pw.timer.cancel();
     ctx_.metrics.onWrite(now - pw.startedAt, /*blocked=*/true);
-    if (pw.cb) pw.cb(WriteResult{now - pw.startedAt, true, state(obj).version});
+    if (pw.cb) pw.cb(WriteResult{now - pw.startedAt, true, st.version});
+    st.pending.reset();
   }
-  pendingWrites_.clear();
   for (auto& [key, retry] : retries_) retry.timer.cancel();
   retries_.clear();
 }
 
 void LeaseServer::finalizeAccounting(SimTime now) {
-  for (auto& [obj, st] : objects_) {
-    for (auto& [client, record] : st.holders) {
-      stats::accrueRecord(ctx_.metrics, id(), record.lastAccounted,
-                          record.expire, now);
-    }
-  }
+  for (ObjState& st : objects_) accrueHolders(st.holders, now);
 }
 
 // ---- client ----
@@ -297,7 +257,7 @@ void LeaseClient::read(ObjectId obj, ReadCallback cb) {
     return;
   }
   const bool alreadyAsking = pending_.waitingOn(obj);
-  pending_.add(obj, config_.readTimeout, std::move(cb));
+  pending_.add(obj, config_->readTimeout, std::move(cb));
   if (!alreadyAsking) {
     const Version have =
         entry != nullptr && entry->hasData ? entry->version() : kNoVersion;
@@ -323,10 +283,10 @@ void LeaseClient::deliver(const net::Message& msg) {
   }
   const auto* inval = std::get_if<net::Invalidate>(&msg.payload);
   VL_CHECK_MSG(inval != nullptr, "LeaseClient: unexpected message type");
-  if (!config_.faultInjectIgnoreInvalidations) {
+  if (!config_->faultInjectIgnoreInvalidations) {
     cache_.invalidate(inval->obj);
   }
-  if (mode_ != LeaseMode::kBestEffort || config_.bestEffortRetries > 0) {
+  if (mode_ != LeaseMode::kBestEffort || config_->bestEffortRetries > 0) {
     ctx_.transport.send(
         net::Message{id(), msg.from, net::AckInvalidate{inval->obj}});
   }

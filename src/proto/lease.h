@@ -15,12 +15,18 @@
 // Grant requests arriving while a write to the same object is in flight
 // are deferred until the write commits, so a lease is never granted on a
 // version about to be replaced.
+//
+// State layout: the volume server's dense state (DESIGN.md §4). Objects
+// are a vector indexed by catalog localIndex; each holds its holder
+// table (ServerNode::Holders, keyed by client index, fanned out newest-
+// grant-first) and the in-flight write, if any. A write's ack wait is a
+// vector of client indices in send order; an ack finds its entry by a
+// linear scan, which is cheap at the baselines' client counts.
 #pragma once
 
-#include <deque>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <vector>
 
 #include "proto/client_cache.h"
 #include "proto/protocol.h"
@@ -33,7 +39,10 @@ class LeaseServer final : public ServerNode {
  public:
   LeaseServer(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config,
               LeaseMode mode)
-      : ServerNode(ctx, id), config_(config), mode_(mode) {}
+      : ServerNode(ctx, id),
+        config_(config),
+        mode_(mode),
+        objects_(ctx.catalog.objectsOnServer(id)) {}
 
   void write(ObjectId obj, WriteCallback cb) override;
   Version currentVersion(ObjectId obj) const override;
@@ -42,26 +51,23 @@ class LeaseServer final : public ServerNode {
   void finalizeAccounting(SimTime now) override;
 
  private:
-  struct LeaseRecord {
-    SimTime expire;
-    SimTime lastAccounted;
+  struct PendingWrite {
+    WriteCallback cb;
+    SimTime startedAt = 0;
+    std::vector<std::uint32_t> waiting;  // client indices, in send order
+    sim::TimerHandle timer;
+    std::vector<net::Message> deferredRequests;
+    std::vector<WriteCallback> queuedWrites;
   };
   struct ObjState {
     Version version = 1;
     /// Aggregate "time by which all current leases will have expired".
     SimTime expire = kSimTimeMin;
-    std::unordered_map<NodeId, LeaseRecord> holders;
-  };
-  struct PendingWrite {
-    WriteCallback cb;
-    SimTime startedAt = 0;
-    std::unordered_set<NodeId> waiting;
-    sim::TimerHandle timer;
-    std::deque<net::Message> deferredRequests;
-    std::deque<WriteCallback> queuedWrites;
+    Holders holders;  // by client index
+    std::unique_ptr<PendingWrite> pending;  // the in-flight write
   };
 
-  ObjState& state(ObjectId obj);
+  ObjState& state(ObjectId obj) { return objects_[nativeSlot(obj)]; }
   SimTime leaseLength() const {
     return mode_ == LeaseMode::kCallback ? kNever : config_.objectTimeout;
   }
@@ -75,7 +81,6 @@ class LeaseServer final : public ServerNode {
   void writeInternal(ObjectId obj, WriteCallback cb, SimTime requestedAt);
   void startWrite(ObjectId obj, WriteCallback cb, SimTime requestedAt);
   void commitWrite(ObjectId obj, bool viaTimeout);
-  void removeHolder(ObjState& st, NodeId client);
 
   /// Liu-Cao retransmission state (BestEffort with retries): one entry
   /// per unacknowledged invalidation.
@@ -87,8 +92,7 @@ class LeaseServer final : public ServerNode {
 
   const ProtocolConfig config_;
   const LeaseMode mode_;
-  std::unordered_map<ObjectId, ObjState> objects_;
-  std::unordered_map<ObjectId, PendingWrite> pendingWrites_;
+  std::vector<ObjState> objects_;  // by catalog localIndex
   std::map<std::pair<ObjectId, NodeId>, RetryState> retries_;
   /// Gray & Cheriton's recovery rule: after a reboot (lease state lost)
   /// the server must not write until every lease it could have granted
@@ -99,10 +103,12 @@ class LeaseServer final : public ServerNode {
 
 class LeaseClient final : public ClientNode {
  public:
+  /// `config` is captured by reference and must outlive the client (the
+  /// factory's ProtocolInstance::sharedConfig).
   LeaseClient(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config,
               LeaseMode mode)
       : ClientNode(ctx, id),
-        config_(config),
+        config_(&config),
         mode_(mode),
         cache_(config.clientCacheCapacity),
         pending_(ctx.scheduler) {}
@@ -122,10 +128,10 @@ class LeaseClient final : public ClientNode {
   /// this client's own (possibly skewed) reading of `globalNow` plus
   /// epsilon, so a lease dies epsilon early on the local clock.
   SimTime leaseGuard(SimTime globalNow) const {
-    return addSat(localTime(globalNow), config_.clockEpsilon);
+    return addSat(localTime(globalNow), config_->clockEpsilon);
   }
 
-  const ProtocolConfig config_;
+  const ProtocolConfig* config_;
   const LeaseMode mode_;
   LeaseCache cache_;
   PendingReads pending_;

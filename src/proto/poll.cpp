@@ -8,12 +8,6 @@ namespace vlease::proto {
 
 // ---- server ----
 
-PollServer::ObjState& PollServer::state(ObjectId obj) {
-  auto [it, inserted] = objects_.try_emplace(obj);
-  (void)inserted;
-  return it->second;
-}
-
 void PollServer::write(ObjectId obj, WriteCallback cb) {
   ObjState& st = state(obj);
   ++st.version;
@@ -23,8 +17,7 @@ void PollServer::write(ObjectId obj, WriteCallback cb) {
 }
 
 Version PollServer::currentVersion(ObjectId obj) const {
-  auto it = objects_.find(obj);
-  return it == objects_.end() ? 1 : it->second.version;
+  return objects_[nativeSlot(obj)].version;
 }
 
 void PollServer::deliver(const net::Message& msg) {
@@ -57,7 +50,7 @@ void PollClient::read(ObjectId obj, ReadCallback cb) {
     return;
   }
   const bool alreadyAsking = pending_.waitingOn(obj);
-  pending_.add(obj, config_.readTimeout, std::move(cb));
+  pending_.add(obj, config_->readTimeout, std::move(cb));
   if (!alreadyAsking) {
     const Version have =
         entry != nullptr && entry->hasData ? entry->version() : kNoVersion;
@@ -73,16 +66,16 @@ void PollClient::deliver(const net::Message& msg) {
   LeaseCache::Entry& entry = cache_.entry(reply->obj);
   entry.setVersion(reply->version);
   entry.hasData = true;
-  if (config_.algorithm == Algorithm::kPollAdaptive) {
+  if (config_->algorithm == Algorithm::kPollAdaptive) {
     // Adaptive TTL: window proportional to the object's age.
     const auto age = static_cast<double>(now - reply->modifiedAt);
     const auto ttl = static_cast<SimDuration>(
-        std::clamp(static_cast<double>(config_.adaptiveFactor) * age,
-                   static_cast<double>(config_.adaptiveMinTtl),
-                   static_cast<double>(config_.adaptiveMaxTtl)));
+        std::clamp(static_cast<double>(config_->adaptiveFactor) * age,
+                   static_cast<double>(config_->adaptiveMinTtl),
+                   static_cast<double>(config_->adaptiveMaxTtl)));
     entry.validUntil = addSat(now, ttl);
   } else {
-    entry.validUntil = addSat(now, config_.objectTimeout);
+    entry.validUntil = addSat(now, config_->objectTimeout);
   }
 
   ReadResult result;

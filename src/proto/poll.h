@@ -11,10 +11,12 @@
 // (adaptiveFactor x age, clamped), so stable objects are polled rarely
 // and recently changed ones often.
 //
-// The server is stateless and writes never wait or send messages.
+// The server keeps no lease state, and writes never wait or send
+// messages. Its per-object versions are a vector indexed by catalog
+// localIndex, the volume server's dense layout (DESIGN.md §4).
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "proto/client_cache.h"
 #include "proto/protocol.h"
@@ -23,8 +25,8 @@ namespace vlease::proto {
 
 class PollServer final : public ServerNode {
  public:
-  PollServer(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config)
-      : ServerNode(ctx, id), config_(config) {}
+  PollServer(ProtocolContext& ctx, NodeId id)
+      : ServerNode(ctx, id), objects_(ctx.catalog.objectsOnServer(id)) {}
 
   void write(ObjectId obj, WriteCallback cb) override;
   Version currentVersion(ObjectId obj) const override;
@@ -35,17 +37,18 @@ class PollServer final : public ServerNode {
     Version version = 1;
     SimTime modifiedAt = 0;  // last-write time (HTTP Last-Modified)
   };
-  ObjState& state(ObjectId obj);
+  ObjState& state(ObjectId obj) { return objects_[nativeSlot(obj)]; }
 
-  const ProtocolConfig config_;
-  std::unordered_map<ObjectId, ObjState> objects_;
+  std::vector<ObjState> objects_;  // by catalog localIndex
 };
 
 class PollClient final : public ClientNode {
  public:
+  /// `config` is captured by reference and must outlive the client (the
+  /// factory's ProtocolInstance::sharedConfig).
   PollClient(ProtocolContext& ctx, NodeId id, const ProtocolConfig& config)
       : ClientNode(ctx, id),
-        config_(config),
+        config_(&config),
         cache_(config.clientCacheCapacity),
         pending_(ctx.scheduler) {}
 
@@ -59,7 +62,7 @@ class PollClient final : public ClientNode {
   }
 
  private:
-  const ProtocolConfig config_;
+  const ProtocolConfig* config_;
   LeaseCache cache_;
   PendingReads pending_;
 };

@@ -48,4 +48,38 @@ std::optional<Algorithm> algorithmByName(const std::string& name) {
   return std::nullopt;
 }
 
+const ServerNode::LeaseRecord& ServerNode::renewHolder(Holders& holders,
+                                                       std::uint32_t ci,
+                                                       SimDuration term) {
+  const SimTime now = ctx_.scheduler.now();
+  auto [rec, inserted] = holders.tryEmplace(ci);
+  if (!inserted) {
+    stats::accrueRecord(ctx_.metrics, id_, rec->lastAccounted, rec->expire,
+                        now);
+  }
+  rec->expire = addSat(now, term);
+  rec->lastAccounted = now;
+  // The volume server's sweep relies on grant order == expiry order
+  // within a table: every grant is now + the table's one fixed term, and
+  // now only moves forward, so this record cannot expire before the
+  // current newest.
+  VL_DCHECK(holders.newest().value->expire <= rec->expire);
+  holders.touch(ci);
+  return *rec;
+}
+
+void ServerNode::removeHolder(Holders& holders, std::uint32_t ci) {
+  LeaseRecord* rec = holders.find(ci);
+  if (rec == nullptr) return;
+  stats::accrueRecord(ctx_.metrics, id_, rec->lastAccounted, rec->expire,
+                      ctx_.scheduler.now());
+  holders.erase(ci);
+}
+
+void ServerNode::accrueHolders(Holders& holders, SimTime now) {
+  holders.forEach([&](std::uint32_t, LeaseRecord& r) {
+    stats::accrueRecord(ctx_.metrics, id_, r.lastAccounted, r.expire, now);
+  });
+}
+
 }  // namespace vlease::proto

@@ -21,6 +21,7 @@
 #include "stats/metrics.h"
 #include "trace/catalog.h"
 #include "util/ids.h"
+#include "util/lifo_index_map.h"
 #include "util/time.h"
 
 namespace vlease::proto {
@@ -217,7 +218,8 @@ struct VolumeHandoff {
 /// volumes and drives invalidations.
 class ServerNode : public net::MessageSink {
  public:
-  ServerNode(ProtocolContext& ctx, NodeId id) : ctx_(ctx), id_(id) {
+  ServerNode(ProtocolContext& ctx, NodeId id)
+      : ctx_(ctx), id_(id), numServers_(ctx.catalog.numServers()) {
     ctx_.transport.attach(id_, this);
   }
   ~ServerNode() override { ctx_.transport.detach(id_); }
@@ -283,10 +285,44 @@ class ServerNode : public net::MessageSink {
   }
 
  protected:
+  /// One client's lease on an object or a volume.
+  struct LeaseRecord {
+    SimTime expire = kSimTimeMin;
+    SimTime lastAccounted = 0;
+  };
+  /// A holder table, keyed by dense client index. It iterates newest-
+  /// insertion-first, so every server family fans out in one order.
+  using Holders = util::LifoIndexMap<LeaseRecord>;
+
+  std::uint32_t clientIdx(NodeId client) const {
+    return raw(client) - numServers_;
+  }
+  NodeId clientNode(std::uint32_t ci) const {
+    return makeNodeId(numServers_ + ci);
+  }
+  /// The dense slot of an object homed on this server: its catalog
+  /// localIndex.
+  std::uint32_t nativeSlot(ObjectId obj) const {
+    const trace::ObjectInfo& info = ctx_.catalog.object(obj);
+    VL_CHECK_MSG(info.server == id_, "object not homed on this server");
+    return info.localIndex;
+  }
+
+  /// Grant `ci` a lease of `term` from now in `holders` (accruing the
+  /// record it replaces) and move it to the newest end of the table's
+  /// grant order. Every holder-record expiry is set here.
+  const LeaseRecord& renewHolder(Holders& holders, std::uint32_t ci,
+                                 SimDuration term);
+  /// Accrue and drop `ci`'s record in `holders`, if it has one.
+  void removeHolder(Holders& holders, std::uint32_t ci);
+  /// Accrue every record in `holders` up to `now`.
+  void accrueHolders(Holders& holders, SimTime now);
+
   ProtocolContext& ctx_;
 
  private:
   NodeId id_;
+  std::uint32_t numServers_;
 };
 
 /// Client endpoint: per-client cache plus the algorithm's validation /
@@ -348,7 +384,6 @@ class ClientNode : public net::MessageSink {
 /// A fully wired protocol deployment: one server endpoint per catalog
 /// server, one client endpoint per catalog client.
 struct ProtocolInstance {
-  ProtocolConfig config;
   /// Stable home of the effective (post-ablation) config: client
   /// endpoints hold pointers into it instead of per-client copies, so
   /// it must outlive them -- shared_ptr keeps the storage put even when

@@ -1,7 +1,8 @@
 // Dense, insertion-ordered map keyed by small dense indices.
 //
-// Replaces the per-lease unordered_map<NodeId, ...> holder tables of
-// the volume server. Four pieces:
+// Every server's holder table (proto::ServerNode::Holders): the volume
+// server's and the Lease, Callback and Best Effort baseline's. It
+// replaced per-object std hash maps keyed by node id. Four pieces:
 //
 //   * a slab of nodes with stable slots and an intrusive free list
 //     (erase never moves surviving nodes, so no index fixups);
@@ -20,9 +21,10 @@
 // pre-refactor unordered_map iterated exactly LIFO in the regimes those
 // goldens exercise (libstdc++ prepends each insert that lands in an
 // empty bucket to its global element list; the golden runs stay under
-// the first rehash threshold with collision-free keys). Encoding the
-// order in the structure itself makes it platform-independent instead
-// of an artifact of one standard library. Erase preserves the relative
+// the first rehash threshold, 13 keys, with collision-free keys; above
+// it the hash map's order was its own). Encoding the order in the
+// structure itself makes it platform-independent, and the same for
+// every server family at any holder count. Erase preserves the relative
 // order of survivors; re-inserting an erased key moves it to the front,
 // both matching the hash map's observable behavior.
 //

@@ -2,6 +2,9 @@
 // BestEffortLease(t).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "proto/lease.h"
 #include "proto_fixture.h"
 
@@ -220,6 +223,65 @@ TEST(BestEffortTest, DeliveredInvalidationPreventsStaleness) {
   auto r = h.read(0, 0);
   EXPECT_EQ(r.version, 2);
   EXPECT_EQ(h.metrics().staleReads(), 0);
+}
+
+// ---- invalidation fan-out order ----
+
+/// Stands in front of a client's sink: logs each Invalidate's recipient
+/// node in arrival order, then delivers the message as usual.
+struct InvalidateLog final : net::MessageSink {
+  InvalidateLog(net::MessageSink& inner, std::vector<std::uint32_t>& log)
+      : inner(inner), log(log) {}
+  void deliver(const net::Message& msg) override {
+    if (std::holds_alternative<net::Invalidate>(msg.payload)) {
+      log.push_back(raw(msg.to));
+    }
+    inner.deliver(msg);
+  }
+  net::MessageSink& inner;
+  std::vector<std::uint32_t>& log;
+};
+
+/// 16 clients lease object 0 one after another, then it is written:
+/// the clients its Invalidates reach, in order. Sixteen holders are past
+/// the first rehash of a libstdc++ hash table, whose iteration order
+/// stops being newest-first there.
+std::vector<std::uint32_t> invalidationOrder(Algorithm algorithm) {
+  constexpr std::uint32_t kClients = 16;
+  ProtoHarness h(leaseConfig(algorithm), /*numServers=*/1, kClients);
+  for (std::uint32_t c = 0; c < kClients; ++c) h.read(c, 0);
+  std::vector<std::uint32_t> log;
+  std::vector<std::unique_ptr<InvalidateLog>> sinks;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    sinks.push_back(std::make_unique<InvalidateLog>(h.clientNode(c), log));
+    h.network().attach(h.client(c), sinks.back().get());
+  }
+  h.write(0);
+  return log;
+}
+
+/// Client c is node 1 + c behind the one server.
+std::vector<std::uint32_t> newestGrantFirst() {
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t c = 16; c-- > 0;) order.push_back(1 + c);
+  return order;
+}
+
+TEST(FanOutOrderTest, VolumeServerInvalidatesNewestGrantFirst) {
+  EXPECT_EQ(invalidationOrder(Algorithm::kVolumeLease), newestGrantFirst());
+}
+
+TEST(FanOutOrderTest, LeaseMatchesVolumeServer) {
+  EXPECT_EQ(invalidationOrder(Algorithm::kLease), newestGrantFirst());
+}
+
+TEST(FanOutOrderTest, CallbackMatchesVolumeServer) {
+  EXPECT_EQ(invalidationOrder(Algorithm::kCallback), newestGrantFirst());
+}
+
+TEST(FanOutOrderTest, BestEffortMatchesVolumeServer) {
+  EXPECT_EQ(invalidationOrder(Algorithm::kBestEffortLease),
+            newestGrantFirst());
 }
 
 // ---- cross-algorithm sanity ----

@@ -72,7 +72,7 @@ struct ProtoHarness {
   }
 
   const proto::ProtocolConfig& instanceConfig() const {
-    return sim->protocol().config;
+    return *sim->protocol().sharedConfig;
   }
   stats::Metrics& metrics() { return sim->metrics(); }
   net::SimNetwork& network() { return sim->network(); }
