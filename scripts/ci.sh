@@ -26,9 +26,10 @@ if [[ "${VLEASE_TSAN:-OFF}" == "ON" ]]; then
 fi
 
 # Determinism must not rest on a standard library's hash-table order:
-# the protocol endpoints keep their state in index-addressed tables.
-if grep -rnE '#include <unordered_(map|set)>' src/proto src/core; then
-  echo "src/proto or src/core includes a std hash container" >&2
+# the protocol endpoints, the event kernel and the simulated network
+# keep their state in index-addressed or sorted tables.
+if grep -rnE '#include <unordered_(map|set)>' src/proto src/core src/sim src/net; then
+  echo "src/proto, src/core, src/sim or src/net includes a std hash container" >&2
   exit 1
 fi
 

@@ -2,12 +2,13 @@
 // probabilistic message loss. The simulated network consults this on
 // every send, so the node-fault predicates are flat per-node flag
 // arrays (indexed by raw node id) behind a single everything-healthy
-// fast path, not hash sets probed five times per message.
+// fast path, not hash sets probed five times per message. Cut links are
+// few (a partition names a handful of pairs), so they live in a sorted
+// vector searched by binary search.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -24,10 +25,19 @@ class FailureModel {
   bool isCrashed(NodeId node) const { return hasFlag(node, kCrashed); }
 
   /// Cut / heal the (bidirectional) link between two nodes.
-  void partition(NodeId a, NodeId b) { cutLinks_.insert(key(a, b)); }
-  void heal(NodeId a, NodeId b) { cutLinks_.erase(key(a, b)); }
+  void partition(NodeId a, NodeId b) {
+    const std::uint64_t k = key(a, b);
+    const auto it = std::lower_bound(cutLinks_.begin(), cutLinks_.end(), k);
+    if (it == cutLinks_.end() || *it != k) cutLinks_.insert(it, k);
+  }
+  void heal(NodeId a, NodeId b) {
+    const std::uint64_t k = key(a, b);
+    const auto it = std::lower_bound(cutLinks_.begin(), cutLinks_.end(), k);
+    if (it != cutLinks_.end() && *it == k) cutLinks_.erase(it);
+  }
   bool isPartitioned(NodeId a, NodeId b) const {
-    return !cutLinks_.empty() && cutLinks_.count(key(a, b)) > 0;
+    return !cutLinks_.empty() &&
+           std::binary_search(cutLinks_.begin(), cutLinks_.end(), key(a, b));
   }
 
   /// Isolate a node from everyone (convenience wrapper used in tests:
@@ -118,7 +128,7 @@ class FailureModel {
   std::vector<std::uint8_t> flags_;  // by raw node id
   std::size_t crashedCount_ = 0;
   std::size_t isolatedCount_ = 0;
-  std::unordered_set<std::uint64_t> cutLinks_;
+  std::vector<std::uint64_t> cutLinks_;  // sorted, unique link keys
   double lossProb_ = 0.0;
 };
 

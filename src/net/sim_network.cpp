@@ -36,8 +36,7 @@ void SimNetwork::send(Message msg) {
                << " " << raw(msg.from) << "->" << raw(msg.to);
   if (!deliverable) return;
   const SimDuration delay = latency_ ? latency_(msg.from, msg.to) : 0;
-  VL_CHECK(delay >= 0);
-  scheduler_.scheduleAfter(delay, [this, m = std::move(msg)]() {
+  scheduler_.post(delay, [this, m = std::move(msg)]() {
     // Re-check the failure model at delivery time, not only at send: a
     // node isolated or partitioned away while the message was in flight
     // loses it too (only possible with nonzero latency). Sender crashes

@@ -13,8 +13,12 @@
 // (proto::Directory numbers servers then clients) -- so routing a
 // message is one bounds check + one load instead of a hash lookup, and
 // the payload is moved (never copied) into the delivery closure, which
-// lives inline in the scheduler's slot arena. send() performs zero heap
-// allocations in steady state (tests/alloc_free_test.cpp).
+// lives inline in the scheduler's slot arena. A message in flight is
+// never cancelled, so send() posts its delivery (Scheduler::post): under
+// a fixed latency every delivery is due no earlier than the one before
+// it and rides the scheduler's delivery FIFO, not its timer heap. send()
+// performs zero heap allocations in steady state
+// (tests/alloc_free_test.cpp).
 #pragma once
 
 #include <functional>

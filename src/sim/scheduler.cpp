@@ -65,19 +65,28 @@ void Scheduler::heapRemove(std::size_t i) {
   pos_[moved.slot] = static_cast<std::uint32_t>(i);
 }
 
+void Scheduler::fifoGrow() {
+  std::vector<Node> grown(fifo_.empty() ? 64 : 2 * fifo_.size());
+  for (std::uint32_t i = 0; i < fifoCount_; ++i) {
+    grown[i] = fifo_[(fifoHead_ + i) & fifoMask()];
+  }
+  fifo_.swap(grown);
+  fifoHead_ = 0;
+}
+
 std::int64_t Scheduler::run() {
   std::int64_t n = 0;
-  while (!heap_.empty()) {
-    fireTop();
-    ++n;
-  }
+  while (step()) ++n;
   return n;
 }
 
 std::int64_t Scheduler::runUntil(SimTime until) {
   std::int64_t n = 0;
-  while (!heap_.empty() && heap_.front().at <= until) {
-    fireTop();
+  while (true) {
+    const bool fromFifo = fifoFirst();
+    if (!fromFifo && heap_.empty()) break;
+    if ((fromFifo ? fifoFront() : heap_.front()).at > until) break;
+    fireNext(fromFifo);
     ++n;
   }
   if (now_ < until) now_ = until;
@@ -85,8 +94,9 @@ std::int64_t Scheduler::runUntil(SimTime until) {
 }
 
 bool Scheduler::step() {
-  if (heap_.empty()) return false;
-  fireTop();
+  const bool fromFifo = fifoFirst();
+  if (!fromFifo && heap_.empty()) return false;
+  fireNext(fromFifo);
   return true;
 }
 

@@ -1,6 +1,7 @@
-// Discrete-event simulation kernel: a virtual clock plus one timer queue,
-// an implicit 4-ary min-heap of (time, sequence) keys over a
-// slab-allocated event arena.
+// Discrete-event simulation kernel: a virtual clock plus two queues of
+// (time, sequence) keys over one slab-allocated event arena -- an
+// implicit 4-ary min-heap for cancellable timers and a delivery FIFO for
+// handle-less posts -- merged into one total order at firing time.
 //
 // Ordering guarantees:
 //   * events fire in nondecreasing virtual time;
@@ -24,10 +25,23 @@
 // give-up bounds that the reply cancels first. A per-slot position array
 // tracks where each armed slot's node sits in the heap, so cancel()
 // removes the node in O(log n) and recycles the slot at once: a
-// cancelled far-future timer leaves nothing behind, and the heap holds
-// exactly the armed events. A TimerHandle remembers (slot, generation);
-// firing or cancelling bumps the slot's generation, so stale handles go
-// inert -- no atomics, no per-event control block.
+// cancelled far-future timer leaves nothing behind, and the heap and
+// the delivery FIFO together hold exactly the armed events. A
+// TimerHandle remembers (slot, generation); firing or cancelling bumps
+// the slot's generation, so stale handles go inert -- no atomics, no
+// per-event control block.
+//
+// Delivery FIFO: post() is scheduleAfter without a handle, for events
+// nothing ever cancels -- SimNetwork's in-flight messages. A post due no
+// earlier than the FIFO's tail is appended to a power-of-two ring of the
+// same 16-byte nodes; sequence numbers only grow, so the ring stays
+// sorted by (time, seq) and a fixed-latency delivery costs O(1) instead
+// of two sifts through a heap full of far-future give-up timers. Any
+// other post (a shorter per-link latency, a lowered setLatency) falls
+// back to the heap. Firing takes whichever of the FIFO head and the heap
+// top comes first, so the global firing order is exactly the one a
+// single heap would give. The ring only grows and never has to drain to
+// reclaim space, so steady-state posting does not allocate.
 //
 // Handle lifetime: handles may outlive the scheduler. They share one
 // non-atomically refcounted block per scheduler that is nulled on
@@ -176,6 +190,25 @@ class Scheduler {
     return scheduleAt(addSat(now_, delay), std::forward<F>(action));
   }
 
+  /// Schedule a callable after `delay` (>= 0) with no cancellation
+  /// handle. Fires in the same global (time, sequence) order as
+  /// scheduleAt; a post due no earlier than the FIFO's tail skips the
+  /// heap (see the file comment).
+  template <typename F>
+  void post(SimDuration delay, F&& action) {
+    VL_CHECK(delay >= 0);
+    const SimTime at = addSat(now_, delay);
+    const std::uint32_t index = allocSlot();
+    this->slot(index).action.emplace(std::forward<F>(action));
+    ++gens_[index];  // armed, though no handle ever names it
+    const Node node{at, nextSeq_++, index};
+    if (fifoCount_ == 0 || at >= fifoBack().at) {
+      fifoPush(node);
+    } else {
+      heapPush(node);
+    }
+  }
+
   /// Run until the queue drains. Returns the number of events fired.
   std::int64_t run();
 
@@ -186,8 +219,8 @@ class Scheduler {
   /// Fire exactly one pending event. Returns false if the queue is empty.
   bool step();
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pendingCount() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && fifoCount_ == 0; }
+  std::size_t pendingCount() const { return heap_.size() + fifoCount_; }
 
   /// Total events fired over the scheduler's lifetime.
   std::int64_t firedCount() const { return fired_; }
@@ -251,16 +284,47 @@ class Scheduler {
   /// last leaf sifted whichever way restores the heap order.
   void heapRemove(std::size_t i);
 
-  /// Fire the heap's minimum: advance the clock, disarm the slot, remove
-  /// the node, then invoke the closure in place -- slot addresses are
+  const Node& fifoFront() const { return fifo_[fifoHead_]; }
+  const Node& fifoBack() const {
+    return fifo_[(fifoHead_ + fifoCount_ - 1) & fifoMask()];
+  }
+  std::uint32_t fifoMask() const {
+    return static_cast<std::uint32_t>(fifo_.size()) - 1;
+  }
+
+  void fifoPush(Node node) {
+    if (fifoCount_ == fifo_.size()) fifoGrow();
+    fifo_[(fifoHead_ + fifoCount_) & fifoMask()] = node;
+    ++fifoCount_;
+  }
+  /// Double the ring (unwrapping it to start at index 0).
+  void fifoGrow();
+
+  /// The earliest pending event is the FIFO head rather than the heap
+  /// top. With both queues empty it is false.
+  bool fifoFirst() const {
+    return fifoCount_ != 0 &&
+           (heap_.empty() || nodeBefore(fifoFront(), heap_.front()));
+  }
+
+  /// Fire the earliest pending event (the FIFO head when `fromFifo`,
+  /// else the heap top): advance the clock, disarm the slot, remove the
+  /// node, then invoke the closure in place -- slot addresses are
   /// stable, and the slot is recycled only after the callback returns,
   /// so reentrant schedule/cancel/drain calls are safe.
-  void fireTop() {
-    const Node top = heap_.front();  // copy: callbacks may reallocate
+  void fireNext(bool fromFifo) {
+    Node top;  // a copy: callbacks may reallocate either queue
+    if (fromFifo) {
+      top = fifoFront();
+      fifoHead_ = (fifoHead_ + 1) & fifoMask();
+      --fifoCount_;
+    } else {
+      top = heap_.front();
+      heapRemove(0);
+    }
     Slot& s = slot(top.slot);
     now_ = top.at;
     ++gens_[top.slot];  // odd -> even: disarmed; handles go stale here
-    heapRemove(0);
     ++fired_;
     s.action();  // slot addresses are stable; reentrancy-safe
     s.action.reset();
@@ -283,8 +347,14 @@ class Scheduler {
   SimTime now_ = 0;
   std::uint32_t nextSeq_ = 0;
   std::int64_t fired_ = 0;
-  /// 4-ary min-heap of (time, seq) keys: exactly the armed events.
+  /// 4-ary min-heap of (time, seq) keys: every armed event that is not
+  /// in the FIFO.
   std::vector<Node> heap_;
+  /// Delivery FIFO: a ring of posts sorted by (time, seq); its size is
+  /// zero or a power of two.
+  std::vector<Node> fifo_;
+  std::uint32_t fifoHead_ = 0;
+  std::uint32_t fifoCount_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   /// Per-slot generation counters; odd == armed. Slots whose counter
   /// nears 2^32 are retired by freeSlot (kGenRetire), so a stale handle

@@ -1,7 +1,8 @@
 // Verifies the zero-allocation contracts: after warm-up (arena, heap
-// array, metrics tables, and protocol slot pools at capacity),
-// scheduleAt/run, SimNetwork::send, and a full volume-lease
-// read/write/invalidate/ack replay perform zero heap allocations.
+// array, delivery ring, metrics tables, and protocol slot pools at
+// capacity), scheduleAt/run, SimNetwork::send with and without latency,
+// and a full volume-lease read/write/invalidate/ack replay perform zero
+// heap allocations.
 //
 // The hook is a counting override of the global operator new; it only
 // counts, so it is safe binary-wide, and each measurement window
@@ -175,6 +176,55 @@ TEST(AllocFreeTest, NetworkSendSteadyStateIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0) << "SimNetwork::send allocated in steady state";
   EXPECT_EQ(a.delivered + b.delivered, 3 * kEvents);
+}
+
+/// Answers every message by sending one back: a fixed number of
+/// request/response chains that never end.
+class EchoSink final : public net::MessageSink {
+ public:
+  explicit EchoSink(net::SimNetwork& network) : network_(network) {}
+  void deliver(const net::Message& m) override {
+    ++delivered;
+    network_.send(net::Message{m.to, m.from, m.payload});
+  }
+  int delivered = 0;
+
+ private:
+  net::SimNetwork& network_;
+};
+
+// With real latency every delivery is posted to the scheduler's delivery
+// FIFO. Echoing chains keep it from ever emptying, so a FIFO that could
+// only reclaim its space by draining would grow through the window.
+TEST(AllocFreeTest, NetworkSendWithLatencyIsAllocationFree) {
+  constexpr int kChains = 200;  // in flight at once: a 256-node ring
+  constexpr int kRounds = 40;   // 8000 deliveries, over 4x the ring
+  sim::Scheduler scheduler;
+  stats::Metrics metrics;
+  net::SimNetwork network(scheduler, metrics);
+  network.setLatency(msec(5));
+  EchoSink a(network), b(network);
+  const NodeId na = makeNodeId(0), nb = makeNodeId(1);
+  network.attach(na, &a);
+  network.attach(nb, &b);
+  for (int i = 0; i < kChains; ++i) {
+    network.send(net::Message{i % 2 ? na : nb, i % 2 ? nb : na,
+                              net::AckInvalidate{makeObjectId(7)}});
+  }
+  // Warm-up: metrics node tables, scheduler arena, the ring.
+  scheduler.runUntil(scheduler.now() + 8 * msec(5));
+
+  const int deliveredBefore = a.delivered + b.delivered;
+  const std::size_t pendingBefore = scheduler.pendingCount();
+  const std::int64_t before = g_newCalls;
+  scheduler.runUntil(scheduler.now() + kRounds * msec(5));
+  const std::int64_t after = g_newCalls;
+
+  EXPECT_EQ(after - before, 0)
+      << "SimNetwork::send with latency allocated in steady state";
+  EXPECT_EQ(a.delivered + b.delivered - deliveredBefore, kRounds * kChains);
+  EXPECT_EQ(pendingBefore, static_cast<std::size_t>(kChains));
+  EXPECT_EQ(scheduler.pendingCount(), static_cast<std::size_t>(kChains));
 }
 
 // The dense-state protocol engine's contract: once the slot pools,

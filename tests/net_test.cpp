@@ -1,5 +1,6 @@
-// Tests for the message model and the simulated network (latency,
-// ordering, loss, partitions, crashes, in-flight edge cases).
+// Tests for the message model, the failure model and the simulated
+// network (latency, ordering, loss, partitions, crashes, in-flight edge
+// cases).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -82,6 +83,28 @@ TEST_F(NetFixture, FifoOrderPreservedSameLink) {
   }
 }
 
+TEST_F(NetFixture, LoweredLatencyOvertakesMessagesInFlight) {
+  // The first delivery rides the scheduler's delivery FIFO; the second
+  // is due before it, so it must take the heap and still arrive first.
+  std::vector<SimTime> arrivals;
+  struct Stamp : MessageSink {
+    sim::Scheduler* s;
+    std::vector<SimTime>* out;
+    void deliver(const Message&) override { out->push_back(s->now()); }
+  } stamp;
+  stamp.s = &scheduler;
+  stamp.out = &arrivals;
+  network.attach(kB, &stamp);
+  network.setLatency(msec(50));
+  network.send(ping(kA, kB));
+  network.setLatency(msec(10));
+  network.send(ping(kA, kB));
+  network.setLatency(msec(30));
+  network.send(ping(kA, kB));
+  scheduler.run();
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{msec(10), msec(30), msec(50)}));
+}
+
 TEST_F(NetFixture, MetersMessagesAndBytes) {
   network.send(ping(kA, kB));
   scheduler.run();
@@ -158,6 +181,34 @@ TEST_F(NetFixture, RandomLossDropsRoughlyTheConfiguredFraction) {
 }
 
 // ---- message model ----
+
+TEST(FailureModelTest, CutLinksFormASetOfUnorderedPairs) {
+  FailureModel f;
+  const NodeId n[] = {makeNodeId(0), makeNodeId(1), makeNodeId(2),
+                      makeNodeId(7), makeNodeId(40)};
+  f.partition(n[3], n[1]);
+  f.partition(n[0], n[4]);
+  f.partition(n[2], n[0]);
+  f.partition(n[1], n[3]);  // the same link, named the other way round
+  EXPECT_EQ(f.activeFaultCount(), 3u);
+  EXPECT_TRUE(f.isPartitioned(n[1], n[3]));
+  EXPECT_TRUE(f.isPartitioned(n[4], n[0]));
+  EXPECT_TRUE(f.isPartitioned(n[0], n[2]));
+  EXPECT_FALSE(f.isPartitioned(n[0], n[1]));
+  EXPECT_FALSE(f.isReachable(n[3], n[1]));
+  EXPECT_TRUE(f.isReachable(n[2], n[3]));
+
+  f.heal(n[4], n[0]);
+  f.heal(n[1], n[2]);  // never cut: a no-op
+  EXPECT_EQ(f.activeFaultCount(), 2u);
+  EXPECT_FALSE(f.isPartitioned(n[0], n[4]));
+  EXPECT_TRUE(f.isPartitioned(n[3], n[1]));
+  EXPECT_TRUE(f.isPartitioned(n[2], n[0]));
+
+  f.clear();
+  EXPECT_EQ(f.activeFaultCount(), 0u);
+  EXPECT_FALSE(f.isPartitioned(n[1], n[3]));
+}
 
 TEST(MessageTest, WireBytesChargeHeaderAndFields) {
   EXPECT_EQ(wireBytes(Payload{Invalidate{makeObjectId(1)}}),

@@ -11,7 +11,11 @@
 // monotone schedule-then-drain, same-instant fan-out bursts, and a mass
 // of far-future timers cancelled before any fires -- plus a mix in which
 // events arm far give-up timers that their own firing cancels, the
-// request/timeout pattern of the protocols. Directed cases cover
+// request/timeout pattern of the protocols -- and a mix of handle-less
+// posts (the network's deliveries) at delays drawn from a small set that
+// changes mid-run, so some posts ride the delivery FIFO and some fall
+// back to the heap, interleaved with timers, cancels and runUntil.
+// Directed cases cover
 // cancellation during a callback at the same instant and handles that
 // outlive the scheduler.
 #include <gtest/gtest.h>
@@ -126,13 +130,28 @@ class DifferentialDriver {
   /// arm a far-future give-up timer that the event cancels when it
   /// fires, so most timers are removed from deep inside the heap long
   /// before their deadline.
-  explicit DifferentialDriver(std::uint64_t seed, bool giveUpTimers = false)
-      : rng_(seed), giveUpTimers_(giveUpTimers) {}
+  /// With `posts`, spawned children are posted (Scheduler::post) rather
+  /// than scheduled.
+  explicit DifferentialDriver(std::uint64_t seed, bool giveUpTimers = false,
+                              bool posts = false)
+      : rng_(seed), giveUpTimers_(giveUpTimers), posts_(posts) {}
 
   void scheduleTopLevel() {
     const SimDuration delay = static_cast<SimDuration>(rng_.nextBelow(50));
     auto spec = std::make_shared<EventSpec>(drawSpec());
     schedule(real_.now() + delay, spec);
+    ++scheduled_;
+  }
+
+  /// One top-level post, its delay drawn from `delays`.
+  void postTopLevel(const std::vector<SimDuration>& delays) {
+    const SimDuration delay = delays[rng_.nextBelow(delays.size())];
+    auto spec = std::make_shared<EventSpec>(drawSpec());
+    real_.post(delay,
+               [this, spec] { fire(*spec, firedReal_, /*isReal=*/true); });
+    naive_.scheduleAt(naive_.now() + delay, [this, spec] {
+      fire(*spec, firedNaive_, /*isReal=*/false);
+    });
     ++scheduled_;
   }
 
@@ -286,7 +305,9 @@ class DifferentialDriver {
 
   /// Schedule a child that only records its id.
   void spawnRecorder(bool isReal, SimDuration delay, int id) {
-    if (isReal) {
+    if (isReal && posts_) {
+      real_.post(delay, [this, id] { firedReal_.push_back(id); });
+    } else if (isReal) {
       real_.scheduleAt(real_.now() + delay,
                        [this, id] { firedReal_.push_back(id); });
     } else {
@@ -305,6 +326,7 @@ class DifferentialDriver {
   int nextId_ = 0;
   int scheduled_ = 0;
   bool giveUpTimers_ = false;
+  bool posts_ = false;
 };
 
 /// Traffic the harness drives: the interleaved random mix, or one of
@@ -315,6 +337,7 @@ enum class Shape {
   kBulkMonotone,
   kSameTickFanOut,
   kCancelledFarFuture,
+  kPost,  // handle-less posts mixed with timers, cancels and runUntil
 };
 
 struct DiffCase {
@@ -342,6 +365,9 @@ void PrintTo(const DiffCase& c, std::ostream* os) {
     case Shape::kCancelledFarFuture:
       *os << "CancelledFarFuture";
       break;
+    case Shape::kPost:
+      *os << "Post" << c.seed;
+      break;
   }
 }
 
@@ -349,8 +375,11 @@ class SchedulerDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(SchedulerDifferentialTest, MatchesNaiveReferenceOver1e5Events) {
   const DiffCase param = GetParam();
-  DifferentialDriver driver(param.seed,
-                            /*giveUpTimers=*/param.shape == Shape::kGiveUpMix);
+  DifferentialDriver driver(
+      param.seed,
+      /*giveUpTimers=*/param.shape == Shape::kGiveUpMix ||
+          param.shape == Shape::kPost,
+      /*posts=*/param.shape == Shape::kPost);
   Rng opRng(param.seed ^ 0xdeadbeefull);
 
   int op = 0;
@@ -408,6 +437,33 @@ TEST_P(SchedulerDifferentialTest, MatchesNaiveReferenceOver1e5Events) {
         }
       }
       break;
+    case Shape::kPost: {
+      // Each phase draws post delays from one small set, as a network
+      // with a few link latencies does; a phase that lowers the delays
+      // sends posts behind the FIFO's tail into the heap.
+      const std::vector<std::vector<SimDuration>> phases = {
+          {5}, {5, 1}, {9}, {0, 3, 3}, {2}, {40, 7}, {0}};
+      while (driver.scheduled() < 100'000) {
+        ++op;
+        const auto& delays = phases[static_cast<std::size_t>(op / 1500) %
+                                    phases.size()];
+        const std::uint64_t roll = opRng.nextBelow(100);
+        if (roll < 45) {
+          driver.postTopLevel(delays);
+        } else if (roll < 70) {
+          driver.scheduleTopLevel();
+        } else if (roll < 82) {
+          driver.cancelRandom();
+        } else if (roll < 95) {
+          driver.runUntilRandom();
+          driver.verify(op);
+        } else {
+          driver.stepBoth();
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      break;
+    }
   }
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -429,7 +485,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{Shape::kGiveUpMix, 61},
                       DiffCase{Shape::kBulkMonotone, 71},
                       DiffCase{Shape::kSameTickFanOut, 83},
-                      DiffCase{Shape::kCancelledFarFuture, 97}));
+                      DiffCase{Shape::kCancelledFarFuture, 97},
+                      DiffCase{Shape::kPost, 101},
+                      DiffCase{Shape::kPost, 103}));
 
 TEST(SchedulerDirectedTest, CancelDuringCallbackSameInstant) {
   Scheduler s;

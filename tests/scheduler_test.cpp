@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event scheduler: ordering, FIFO ties,
-// cancellation, runUntil semantics, and reentrant scheduling.
+// cancellation, runUntil semantics, reentrant scheduling, and the
+// handle-less post() lane that shares the total order.
 #include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace vlease::sim {
@@ -248,6 +251,121 @@ TEST(SchedulerDeadlineTest, HandleOutlivesSchedulerWithWheelEntry) {
   }
   EXPECT_FALSE(kept.pending());
   kept.cancel();  // must be a safe no-op
+}
+
+// ---- post(): the handle-less delivery lane ----
+
+TEST(SchedulerPostTest, PostsAndTimersAtOneInstantFireBySequence) {
+  Scheduler s;
+  std::vector<int> order;
+  s.post(5, [&] { order.push_back(0); });
+  s.scheduleAt(5, [&] { order.push_back(1); });
+  s.post(5, [&] { order.push_back(2); });
+  s.scheduleAfter(5, [&] { order.push_back(3); });
+  s.post(5, [&] { order.push_back(4); });
+  s.scheduleAt(4, [&] { order.push_back(-1); });
+  EXPECT_EQ(s.run(), 6);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+  EXPECT_EQ(s.now(), 5);
+}
+
+TEST(SchedulerPostTest, ShorterPostThanFifoTailTakesHeapAndFiresFirst) {
+  Scheduler s;
+  std::vector<int> order;
+  s.post(10, [&] { order.push_back(10); });
+  s.post(20, [&] { order.push_back(20); });
+  s.post(3, [&] { order.push_back(3); });    // before the tail: heap
+  s.post(20, [&] { order.push_back(21); });  // equal to the tail: FIFO
+  s.post(15, [&] { order.push_back(15); });  // before the tail: heap
+  EXPECT_EQ(s.pendingCount(), 5u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 10, 15, 20, 21}));
+}
+
+TEST(SchedulerPostTest, RunUntilIsInclusiveAtFifoHead) {
+  Scheduler s;
+  std::vector<SimTime> fired;
+  for (SimDuration d : {5, 10, 10, 15}) {
+    s.post(d, [&fired, &s] { fired.push_back(s.now()); });
+  }
+  EXPECT_EQ(s.runUntil(10), 3);
+  EXPECT_EQ(fired, (std::vector<SimTime>{5, 10, 10}));
+  EXPECT_EQ(s.now(), 10);
+  EXPECT_EQ(s.pendingCount(), 1u);
+  EXPECT_EQ(s.runUntil(14), 0);
+  EXPECT_EQ(s.now(), 14);
+  EXPECT_EQ(s.runUntil(15), 1);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerPostTest, StepPendingCountAndEmptyCountPosts) {
+  Scheduler s;
+  int fired = 0;
+  s.post(1, [&] { ++fired; });
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.pendingCount(), 1u);
+  TimerHandle h = s.scheduleAt(2, [&] { ++fired; });
+  s.post(0, [&] { ++fired; });  // before the tail: heap
+  EXPECT_EQ(s.pendingCount(), 3u);
+  h.cancel();
+  EXPECT_EQ(s.pendingCount(), 2u);
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.now(), 0);
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.now(), 1);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.pendingCount(), 0u);
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.firedCount(), 2);
+}
+
+TEST(SchedulerPostTest, ReentrantPostsKeepTotalOrderAcrossRingGrowth) {
+  // Each delivery posts the next at a fixed latency while a burst keeps
+  // hundreds in flight, so the ring wraps and grows under the callbacks.
+  Scheduler s;
+  std::vector<SimTime> fired;
+  int budget = 5000;
+  std::function<void()> hop = [&] {
+    fired.push_back(s.now());
+    if (--budget > 0) s.post(7, [&] { hop(); });
+  };
+  for (int i = 0; i < 300; ++i) s.post(i % 7, [&] { hop(); });
+  s.run();
+  ASSERT_EQ(fired.size(), 5299u);
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_LE(fired[i - 1], fired[i]) << "at firing " << i;
+  }
+}
+
+TEST(SchedulerPostTest, StaleHandleCannotCancelPostInRecycledSlot) {
+  Scheduler s;
+  TimerHandle stale = s.scheduleAt(1, [] {});
+  s.run();
+  bool fired = false;
+  s.post(1, [&] { fired = true; });  // reuses the fired timer's slot
+  EXPECT_FALSE(stale.pending());
+  stale.cancel();
+  EXPECT_EQ(s.pendingCount(), 1u);
+  s.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(SchedulerPostTest, DestructorReleasesPendingPostHoldingHandle) {
+  auto marker = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = marker;
+  TimerHandle outside;
+  {
+    Scheduler s;
+    TimerHandle inner = s.scheduleAt(sec(1), [] {});
+    outside = inner;
+    s.post(sec(2), [h = std::move(inner), m = std::move(marker)] {});
+    s.post(sec(1), [] {});  // one post in the heap too
+    EXPECT_EQ(s.pendingCount(), 3u);
+  }
+  EXPECT_TRUE(watch.expired());  // the post's closure was destroyed
+  EXPECT_FALSE(outside.pending());
+  outside.cancel();  // a safe no-op after the scheduler is gone
 }
 
 }  // namespace
